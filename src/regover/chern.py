@@ -4,7 +4,9 @@ Computes the four Delta invariants of an eta quotient, the admissibility
 condition of the coefficient asymptotic, the exponential sums A-hat with
 exact rational Dedekind-sum phases, the Bessel main term C_k(n) I1(mu_k),
 the printed closed-form remainder bounds, and the resulting certified
-two-sided brackets for the k-regular overpartition counts.
+two-sided brackets for the k-regular overpartition counts.  Every bracket
+verdict, including the ``inside`` column of :func:`estimate`, is decided by
+:func:`regover.numerics.certify`.
 
 Only the Delta1 = 0 branch of the asymptotic is supported; every spec used
 here has Delta1 = 0 and Delta2 = 0, which is asserted rather than assumed.
@@ -26,8 +28,8 @@ from typing import Mapping, Optional
 from .numerics import (
     Interval,
     NumericsError,
-    PrecisionExhausted,
     bessel_i1,
+    certify,
     default_precision,
     dedekind_sum,
     mu,
@@ -38,9 +40,6 @@ from .qseries import EtaQuotientSpec, build_spec, pk
 
 class ChernError(ValueError):
     """Raised on domain violations in the asymptotic machinery."""
-
-
-MAX_PRECISION = 384
 
 
 @dataclass(frozen=True)
@@ -281,6 +280,15 @@ def pk_bounds(
     return main * (1 - wiggle), main * (1 + wiggle)
 
 
+def _theorem_bracket(
+    k: int, n: int, precision: int
+) -> tuple[Interval, Interval, Interval, Interval]:
+    """Main term M, remainder bound R' and the theorem bracket M -/+ R'."""
+    main = main_term(k, n, precision)
+    rb = remainder_bound(k, n, precision)
+    return main, rb, main - rb, main + rb
+
+
 @dataclass(frozen=True)
 class AsymptoticEstimate:
     """Certified bracket data for one (k, n), serializable for reports."""
@@ -292,7 +300,7 @@ class AsymptoticEstimate:
     remainder: Optional[Interval]
     lower: Optional[Interval]
     upper: Optional[Interval]
-    exact: Optional[int]
+    exact: int
     inside: Optional[bool]
 
     def to_row(self) -> dict:
@@ -309,7 +317,7 @@ class AsymptoticEstimate:
             "main_lo": main_lo,
             "main_hi": main_hi,
             "rprime_hi": rprime_hi,
-            "exact": "n/a" if self.exact is None else str(self.exact),
+            "exact": str(self.exact),
             "inside": "n/a" if self.inside is None else str(self.inside).lower(),
         }
 
@@ -317,70 +325,49 @@ class AsymptoticEstimate:
         return json.dumps(self.to_row())
 
 
-def estimate(
-    k: int,
-    n: int,
-    precision: Optional[int] = None,
-    with_exact: bool = True,
-) -> AsymptoticEstimate:
-    """Bracket p_k-bar(n); remainder fields are None below the threshold."""
+def estimate(k: int, n: int, precision: Optional[int] = None) -> AsymptoticEstimate:
+    """Bracket p_k-bar(n); remainder fields are None below the threshold.
+
+    ``inside`` is the certified verdict of :func:`verify_bracket`; the
+    reported intervals stay at the requested precision.
+    """
     _check_k(k)
     precision = default_precision() if precision is None else precision
     m = mu(k, n, precision).value
-    main = main_term(k, n, precision)
-    remainder = lower = upper = None
-    if m.lo >= N_K[k]:
-        remainder = remainder_bound(k, n, precision)
-        lower = main - remainder
-        upper = main + remainder
-    exact = pk(k, n) if with_exact else None
-    inside = None
-    if exact is not None and lower is not None:
-        inside = lower.lo <= exact <= upper.hi
+    exact = pk(k, n)
+    if m.lo < N_K[k]:
+        main = main_term(k, n, precision)
+        return AsymptoticEstimate(k, n, m, main, None, None, None, exact, None)
+    main, remainder, lower, upper = _theorem_bracket(k, n, precision)
+
+    def bounds(prec):
+        # the first round reuses the reported bracket
+        if prec == precision:
+            return lower, upper
+        return _theorem_bracket(k, n, prec)[2:]
+
+    inside = certify(exact, bounds, precision, f"bracket comparison for k={k}, n={n}")
     return AsymptoticEstimate(k, n, m, main, remainder, lower, upper, exact, inside)
 
 
-def _verify(
-    k: int,
-    n: int,
-    bounds,
-    precision: Optional[int],
-) -> bool:
-    """Definite containment of the exact count in an interval bracket.
-
-    Escalates precision (doubling, capped) until the comparison against
-    both endpoints is conclusive.
-    """
-    exact = pk(k, n)
-    precision = default_precision() if precision is None else precision
-    while True:
-        lower, upper = bounds(k, n, precision)
-        if upper.hi < exact or exact < lower.lo:
-            return False
-        if lower.hi <= exact <= upper.lo:
-            return True
-        if precision >= MAX_PRECISION:
-            raise PrecisionExhausted(
-                f"bracket comparison for k={k}, n={n} inconclusive at "
-                f"{precision} bits"
-            )
-        precision = min(2 * precision, MAX_PRECISION)
-
-
 def verify_bracket(k: int, n: int, precision: Optional[int] = None) -> bool:
-    """Definitely p_k-bar(n) in [main - R', main + R'] (theorem bracket)."""
-
-    def bounds(k, n, prec):
-        main = main_term(k, n, prec)
-        rb = remainder_bound(k, n, prec)
-        return main - rb, main + rb
-
-    return _verify(k, n, bounds, precision)
+    """Definitely p_k-bar(n) in (main - R', main + R') (theorem bracket)."""
+    return certify(
+        pk(k, n),
+        lambda prec: _theorem_bracket(k, n, prec)[2:],
+        precision,
+        f"bracket comparison for k={k}, n={n}",
+    )
 
 
 def verify_corollary_bracket(k: int, n: int, precision: Optional[int] = None) -> bool:
-    """Definitely p_k-bar(n) in M_k(n) * [1 - mu^-6, 1 + mu^-6]."""
-    return _verify(k, n, pk_bounds, precision)
+    """Definitely p_k-bar(n) in M_k(n) * (1 - mu^-6, 1 + mu^-6)."""
+    return certify(
+        pk(k, n),
+        lambda prec: pk_bounds(k, n, prec),
+        precision,
+        f"corollary bracket comparison for k={k}, n={n}",
+    )
 
 
 def truncated_expansion(

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -119,7 +117,7 @@ _JOBS = click.option(
     "--jobs",
     type=int,
     default=None,
-    help="Sweep parallelism [default: available cores].",
+    help="No effect; accepted for compatibility (sweeps run in one thread).",
 )
 _PRECISION = click.option(
     "--precision",
@@ -127,11 +125,6 @@ _PRECISION = click.option(
     default=None,
     help="Working precision in bits [default: REGOVER_PRECISION or 192].",
 )
-
-
-def _pool(jobs: int | None) -> ThreadPoolExecutor:
-    workers = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-    return ThreadPoolExecutor(max_workers=workers)
 
 
 @click.group()
@@ -216,32 +209,23 @@ def verify(
                         f"qbounds for k={k} start at n={threshold}; "
                         f"horizon {h} is below it"
                     )
-                ns = range(threshold, h + 1)
                 warm_cache(k, h + 1)
-                with _pool(jobs) as pool:
-                    verdicts = list(
-                        pool.map(lambda n: verify_q_containment(k, n, precision), ns)
-                    )
-                for n, ok in zip(ns, verdicts):
+                for n in range(threshold, h + 1):
+                    ok = verify_q_containment(k, n, precision)
                     failed = failed or not ok
                     rows.append(
                         {"k": k, "n": n, "property": property, "verdict": ok}
                     )
             _emit(rows, output)
         else:
-            with _pool(jobs) as pool:
-                reports = list(
-                    pool.map(
-                        lambda k: scan_thresholds(
-                            k,
-                            property,
-                            horizon
-                            if horizon is not None
-                            else _default_horizon(property, k),
-                        ),
-                        ks,
-                    )
+            reports = [
+                scan_thresholds(
+                    k,
+                    property,
+                    horizon if horizon is not None else _default_horizon(property, k),
                 )
+                for k in ks
+            ]
             for rep in reports:
                 if property == "subadd":
                     bad = rep.exceptions_below
@@ -297,9 +281,8 @@ def asym(
     try:
         for k in ks:
             warm_cache(k, n_max)
-            with _pool(jobs) as pool:
-                ests = list(pool.map(lambda n: estimate(k, n, precision), ns))
-            for est in ests:
+            for n in ns:
+                est = estimate(k, n, precision)
                 row = est.to_row()
                 if est.remainder is None:
                     row["rel_width"] = "n/a"
@@ -373,10 +356,7 @@ def lemmas(
                 if a + b >= k + 1
             )
     try:
-        with _pool(jobs) as pool:
-            reports = list(
-                pool.map(lambda g: verify_lemma(lemma_id, g[0], g[1], g[2]), grid)
-            )
+        reports = [verify_lemma(lemma_id, k, a, b) for k, a, b in grid]
     except OverpartitionError as exc:
         raise click.UsageError(str(exc))
     if any(rep.mode != "map" for rep in reports):

@@ -17,21 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import (
-    Interval,
-    PrecisionExhausted,
-    default_precision,
-    mu,
-    pi,
-)
+from .numerics import Interval, certify, default_precision, mu, pi
 from .qseries import pk, warm_cache
 
 
 class InequalityError(ValueError):
     """Raised on contract violations in inequality checks."""
 
-
-MAX_PRECISION = 384
 
 PROPERTIES = ("logconcave", "turan3", "subadd")
 
@@ -148,19 +140,12 @@ def q_bounds(
 
 def verify_q_containment(k: int, n: int, precision: Optional[int] = None) -> bool:
     """Definitely L(n) < Q_k(n) < R(n), escalating precision as needed."""
-    q = q_ratio(k, n).value
-    precision = default_precision() if precision is None else precision
-    while True:
-        lower, upper = q_bounds(k, n, precision)
-        if q <= lower.lo or upper.hi <= q:
-            return False
-        if lower.hi < q < upper.lo:
-            return True
-        if precision >= MAX_PRECISION:
-            raise PrecisionExhausted(
-                f"Q containment for k={k}, n={n} inconclusive at {precision} bits"
-            )
-        precision = min(2 * precision, MAX_PRECISION)
+    return certify(
+        q_ratio(k, n).value,
+        lambda prec: q_bounds(k, n, prec),
+        precision,
+        f"Q containment for k={k}, n={n}",
+    )
 
 
 def jia_criterion(u: Fraction, v: Fraction) -> bool:

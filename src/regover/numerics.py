@@ -1,6 +1,6 @@
-"""Rigorous numerics: outward-rounded interval arithmetic, Bessel I1
-enclosures, the printed I1 bound polynomials, Dedekind sums, and the
-Bessel argument mu_k(n).
+"""Rigorous numerics: outward-rounded interval arithmetic, the one
+certification loop, Bessel I1 enclosures, the printed I1 bound polynomials,
+Dedekind sums, and the Bessel argument mu_k(n) = pi sqrt((k-1) n / k).
 
 Every transcendental quantity in the asymptotic machinery travels through
 :class:`Interval`, a thin immutable wrapper over mpmath's interval context.
@@ -9,6 +9,10 @@ precision gets its own frozen context, and binary operations are carried
 out at the larger of the two operand precisions.  Exactly representable
 inputs (integers, rationals) enter through directed rounding, so every
 enclosure is sound by construction.
+
+:func:`certify` is the only place an exact value is compared with an
+interval bracket: a verdict needs strictly separated enclosures, and an
+undecided comparison doubles the precision up to :data:`MAX_PRECISION`.
 
 Dedekind sums are exact rationals and never touch intervals.
 """
@@ -20,7 +24,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import from_rational, to_rational
@@ -36,6 +40,7 @@ class PrecisionExhausted(ArithmeticError):
 
 DEFAULT_PRECISION = 192
 MIN_PRECISION = 64
+MAX_PRECISION = 384
 # guard against exp() of absurd arguments producing numbers with millions
 # of exponent bits; nothing in scope needs exp beyond e^(10^6)
 _MAX_EXP_ARG = 10**6
@@ -214,11 +219,6 @@ class Interval:
         ctx = _context(self.precision)
         return Interval(self.precision, ctx.sin(ctx.convert(self._val)))
 
-    def with_precision(self, precision: int) -> "Interval":
-        """Same enclosure re-homed (endpoints re-rounded outward if needed)."""
-        ctx = _context(precision)
-        return Interval(precision, ctx.convert(self._val))
-
     # -- predicates ---------------------------------------------------
 
     def contains(self, value: Exactable) -> bool:
@@ -257,32 +257,33 @@ def pi(precision: Optional[int] = None) -> Interval:
     return Interval(precision, +ctx.pi)
 
 
-def compare(a: Interval, b: Interval) -> Optional[bool]:
-    """True if a < b definitely, False if a > b definitely, None on overlap.
+def certify(
+    value: Exactable,
+    bounds: Callable[[int], tuple[Interval, Interval]],
+    precision: Optional[int],
+    what: str,
+) -> bool:
+    """Decide lower < value < upper for the bracket ``bounds(precision)``.
 
-    Touching endpoints count as overlap: a definite answer requires strict
-    separation of the enclosures.
+    True only when the enclosures are strictly separated from ``value``
+    (lower.hi < value < upper.lo); False only when ``value`` lies strictly
+    outside (value < lower.lo or upper.hi < value).  Anything else, touching
+    endpoints included, doubles the precision up to MAX_PRECISION and then
+    raises PrecisionExhausted naming ``what``.
     """
-    if a.hi < b.lo:
-        return True
-    if b.hi < a.lo:
-        return False
-    return None
+    precision = default_precision() if precision is None else precision
+    while True:
+        lower, upper = bounds(precision)
+        if lower.hi < value < upper.lo:
+            return True
+        if value < lower.lo or upper.hi < value:
+            return False
+        if precision >= MAX_PRECISION:
+            raise PrecisionExhausted(f"{what} inconclusive at {precision} bits")
+        precision = min(2 * precision, MAX_PRECISION)
 
 
 # -- mu_k(n) ----------------------------------------------------------
-
-# mu_k(n) = coeff * pi * sqrt(radicand * n), table-driven
-_MU_TABLE: dict[int, tuple[Fraction, int]] = {
-    2: (Fraction(1, 2), 2),
-    3: (Fraction(1, 3), 6),
-    4: (Fraction(1, 2), 3),
-    5: (Fraction(2, 5), 5),
-    6: (Fraction(1, 6), 30),
-    7: (Fraction(1, 7), 42),
-    8: (Fraction(1, 4), 14),
-    9: (Fraction(2, 3), 2),
-}
 
 
 @dataclass(frozen=True)
@@ -295,15 +296,18 @@ class MuValue:
 
 
 def mu(k: int, n: int, precision: Optional[int] = None) -> MuValue:
-    """mu_k(n) = c_k * pi * sqrt(r_k * n) from the eight-entry table."""
-    if k not in _MU_TABLE:
+    """mu_k(n) = pi * sqrt((k-1) n / k), evaluated as pi * sqrt((k-1) k n) / k.
+
+    This is pi * sqrt(2 n Delta3(1) / 3) with Delta2 = 0: for the k-regular
+    overpartition quotient Delta3(1) = 3 (k-1) / (2k).
+    """
+    if not 2 <= k <= 9:
         raise NumericsError(f"mu is defined for k in 2..9, got {k}")
     if n < 0:
         raise NumericsError(f"n must be >= 0, got {n}")
     precision = default_precision() if precision is None else precision
-    coeff, radicand = _MU_TABLE[k]
-    root = Interval.from_exact(radicand * n, precision).sqrt()
-    return MuValue(k, n, pi(precision) * coeff * root)
+    root = Interval.from_exact((k - 1) * k * n, precision).sqrt()
+    return MuValue(k, n, pi(precision) * root / k)
 
 
 # -- Bessel I1 --------------------------------------------------------

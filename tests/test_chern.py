@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from regover import chern
 from regover.chern import (
     ChernError,
     N_K,
@@ -23,7 +24,7 @@ from regover.chern import (
     verify_bracket,
     verify_corollary_bracket,
 )
-from regover.numerics import dedekind_sum, mu
+from regover.numerics import Interval, PrecisionExhausted, dedekind_sum, mu
 from regover.qseries import EtaQuotientSpec, build_spec, pk
 
 KS = list(range(2, 10))
@@ -202,6 +203,18 @@ class TestBrackets:
         with pytest.raises(ChernError):
             pk_bounds(2, 100)  # mu ~ 22 < 43
 
+    def test_touching_endpoint_is_not_a_certificate(self, monkeypatch):
+        # main - R' = [exact, exact] touches the count at every precision
+        exact = pk(2, 1000)
+        monkeypatch.setattr(
+            chern, "main_term", lambda k, n, prec: Interval.from_exact(exact + 1, prec)
+        )
+        monkeypatch.setattr(
+            chern, "remainder_bound", lambda k, n, prec: Interval.from_exact(1, prec)
+        )
+        with pytest.raises(PrecisionExhausted, match="k=2, n=1000"):
+            verify_bracket(2, 1000)
+
 
 class TestEstimate:
     def test_row_fields(self):
@@ -223,6 +236,17 @@ class TestEstimate:
 
         data = json.loads(estimate(3, 500).to_json())
         assert data["inside"] == "true"
+
+    def test_overlap_is_not_inside(self, monkeypatch):
+        # R' = [0, 2 exact] makes main -/+ R' overlap the count on both sides
+        exact = pk(2, 1000)
+        monkeypatch.setattr(
+            chern,
+            "remainder_bound",
+            lambda k, n, prec: Interval.from_endpoints(0, 2 * exact, prec),
+        )
+        with pytest.raises(PrecisionExhausted, match="k=2, n=1000"):
+            estimate(2, 1000)
 
 
 class TestTruncatedExpansion:

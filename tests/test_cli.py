@@ -7,7 +7,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from regover import chern
 from regover.cli import main
+from regover.numerics import Interval
+from regover.qseries import pk
 
 from conftest import SUBADD_COUNTEREXAMPLES
 
@@ -209,6 +212,20 @@ class TestAsym:
         )
         assert result.exit_code == 2
 
+    def test_undecidable_row_exits_three(self, runner, monkeypatch):
+        # a bracket that only overlaps the count is no certificate
+        exact = pk(2, 1000)
+        monkeypatch.setattr(
+            chern,
+            "remainder_bound",
+            lambda k, n, prec: Interval.from_endpoints(0, 2 * exact, prec),
+        )
+        result = runner.invoke(
+            main, ["asym", "--k", "2", "--n-min", "1000", "--n-max", "1000"]
+        )
+        assert result.exit_code == 3
+        assert "precision exhausted" in result.stderr
+
 
 class TestLemmas:
     def test_single_sided_sweep_csv(self, runner):
@@ -257,9 +274,21 @@ class TestLemmas:
         )
         assert result.exit_code == 2
 
-    def test_jobs_flag_does_not_change_output(self, runner):
-        base = ["lemmas", "--id", "2.2", "--k", "5..6", "--a-max", "6",
-                "--output", "csv"]
-        one = runner.invoke(main, base + ["--jobs", "1"]).stdout
-        four = runner.invoke(main, base + ["--jobs", "4"]).stdout
-        assert one == four
+
+class TestJobs:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["lemmas", "--id", "2.2", "--k", "5..6", "--a-max", "6"],
+            ["asym", "--k", "2..3", "--n-min", "400", "--n-max", "420", "--step", "10"],
+            ["verify", "qbounds", "--k", "3", "--horizon", "380"],
+            ["verify", "logconcave", "--k", "2..4", "--horizon", "100"],
+        ],
+        ids=["lemmas", "asym", "qbounds", "logconcave"],
+    )
+    def test_jobs_flag_does_not_change_output(self, runner, args):
+        base = args + ["--output", "csv"]
+        one = runner.invoke(main, base + ["--jobs", "1"])
+        four = runner.invoke(main, base + ["--jobs", "4"])
+        assert one.stdout and one.stdout == four.stdout
+        assert one.exit_code == four.exit_code

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from regover import inequalities
 from regover.inequalities import (
     InequalityError,
     LOGCONCAVE_THRESHOLDS,
@@ -21,7 +22,7 @@ from regover.inequalities import (
     scan_thresholds,
     verify_q_containment,
 )
-from regover.numerics import PrecisionExhausted
+from regover.numerics import Interval, PrecisionExhausted
 from regover.qseries import pk
 
 from conftest import SUBADD_COUNTEREXAMPLES
@@ -183,6 +184,20 @@ class TestQBounds:
 
     def test_containment_k2_spot(self):
         assert verify_q_containment(2, 6000)
+
+    def test_overlap_at_cap_raises(self, monkeypatch):
+        q = q_ratio(3, 400).value
+        asked = []
+
+        def straddling(k, n, precision):
+            asked.append(precision)
+            around = Interval.from_endpoints(q - 1, q + 1, precision)
+            return around, around
+
+        monkeypatch.setattr(inequalities, "q_bounds", straddling)
+        with pytest.raises(PrecisionExhausted, match="k=3, n=400"):
+            verify_q_containment(3, 400, 192)
+        assert asked == [192, 384]
 
     def test_bounds_tighten_with_n(self):
         lo1, hi1 = q_bounds(3, 400)

@@ -1,4 +1,5 @@
-"""Interval soundness, Bessel enclosures, mu table, and Dedekind sums."""
+"""Interval soundness, the certification rule, Bessel enclosures, mu_k(n)
+against its printed table, and Dedekind sums."""
 
 import math
 import random
@@ -7,19 +8,22 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from regover.chern import invariants
 from regover.numerics import (
     Interval,
     NumericsError,
+    PrecisionExhausted,
     bessel_i1,
     bessel_i1_bracket,
     bessel_i1_upper_simple,
-    compare,
+    certify,
     dedekind_sum,
     default_precision,
     e_i,
     mu,
     pi,
 )
+from regover.qseries import build_spec
 
 
 def iv(x, prec=192):
@@ -72,11 +76,6 @@ class TestIntervalBasics:
         with pytest.raises(NumericsError):
             iv(-1).sqrt()
 
-    def test_compare_definite_and_overlap(self):
-        assert compare(iv(1), iv(2)) is True
-        assert compare(iv(2), iv(1)) is False
-        assert compare(Interval.from_endpoints(0, 2), Interval.from_endpoints(1, 3)) is None
-
     def test_to_string_outward(self):
         s = iv(Fraction(1, 3)).to_string(5)
         assert s.startswith("[0.33333,") and s.endswith("]")
@@ -89,6 +88,41 @@ class TestIntervalBasics:
         monkeypatch.setenv("REGOVER_PRECISION", "16")
         with pytest.raises(NumericsError):
             default_precision()
+
+
+class TestCertify:
+    @staticmethod
+    def bracket(lower, upper):
+        return lambda prec: (
+            Interval.from_endpoints(*lower, prec),
+            Interval.from_endpoints(*upper, prec),
+        )
+
+    def test_verdicts(self):
+        bounds = self.bracket((0, 1), (2, 3))
+        assert certify(Fraction(3, 2), bounds, 192, "x") is True
+        assert certify(-1, bounds, 192, "x") is False
+        assert certify(4, bounds, 192, "x") is False
+
+    def test_escalates_once_then_certifies(self):
+        # the enclosures of 1 -/+ 2^-300 touch 1 at 192 bits and are exact at 384
+        asked = []
+        eps = Fraction(1, 2**300)
+
+        def bounds(prec):
+            asked.append(prec)
+            return (
+                Interval.from_exact(1 - eps, prec),
+                Interval.from_exact(1 + eps, prec),
+            )
+
+        assert certify(1, bounds, 192, "x") is True
+        assert asked == [192, 384]
+
+    @pytest.mark.parametrize("value", [1, 2])
+    def test_touching_endpoint_is_not_a_certificate(self, value):
+        with pytest.raises(PrecisionExhausted, match="touch inconclusive at 384"):
+            certify(value, self.bracket((0, 1), (2, 3)), 192, "touch")
 
 
 class TestEnclosureSoundness:
@@ -143,23 +177,31 @@ class TestMu:
         v = mu(6, 30).value
         assert float(v.lo) == pytest.approx(5 * math.pi)
 
-    @pytest.mark.parametrize(
-        "k,coeff,rad",
-        [
-            (2, Fraction(1, 2), 2),
-            (3, Fraction(1, 3), 6),
-            (4, Fraction(1, 2), 3),
-            (5, Fraction(2, 5), 5),
-            (6, Fraction(1, 6), 30),
-            (7, Fraction(1, 7), 42),
-            (8, Fraction(1, 4), 14),
-            (9, Fraction(2, 3), 2),
-        ],
-    )
+    # the printed table mu_k(n) = coeff * pi * sqrt(rad * n): the independent
+    # reference for mu's derived form pi * sqrt((k-1) n / k)
+    PRINTED = [
+        (2, Fraction(1, 2), 2),
+        (3, Fraction(1, 3), 6),
+        (4, Fraction(1, 2), 3),
+        (5, Fraction(2, 5), 5),
+        (6, Fraction(1, 6), 30),
+        (7, Fraction(1, 7), 42),
+        (8, Fraction(1, 4), 14),
+        (9, Fraction(2, 3), 2),
+    ]
+
+    @pytest.mark.parametrize("k,coeff,rad", PRINTED)
     def test_table_against_float_reference(self, k, coeff, rad):
         n = 137
         ref = float(coeff) * math.pi * math.sqrt(rad * n)
         assert float(mu(k, n).value.lo) == pytest.approx(ref)
+
+    @pytest.mark.parametrize("k,coeff,rad", PRINTED)
+    def test_radicand_is_two_thirds_delta3(self, k, coeff, rad):
+        # mu = pi sqrt(2 n Delta3(1) / 3) needs Delta2 = 0
+        inv = invariants(build_spec(k))
+        assert inv.delta2 == 0
+        assert coeff**2 * rad == Fraction(k - 1, k) == 2 * inv.delta3[1] / 3
 
     def test_rejects_out_of_range(self):
         with pytest.raises(NumericsError):
