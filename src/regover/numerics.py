@@ -10,11 +10,20 @@ out at the larger of the two operand precisions.  Exactly representable
 inputs (integers, rationals) enter through directed rounding, so every
 enclosure is sound by construction.
 
+:func:`bessel_i1` is the one hot kernel that does not run through
+:class:`Interval` term by term: it sums the positive ascending series in
+fixed point (scaled Python integers), flooring every term of a lower sum
+and ceiling every term of an upper sum, adds a proven geometric tail bound
+to the upper sum, and rounds the two integer bounds outward into one
+:class:`Interval`.  The rounding error is accounted for by the direction of
+each rounding, not estimated.
+
 :func:`certify` is the only place an exact value is compared with an
 interval bracket: a verdict needs strictly separated enclosures, and an
 undecided comparison doubles the precision up to :data:`MAX_PRECISION`.
 
-Dedekind sums are exact rationals and never touch intervals.
+Dedekind sums are exact rationals, computed by reciprocity in O(log j)
+steps, and never touch intervals.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_rational, to_rational
+from mpmath.libmp import from_rational, fzero, to_rational
 
 
 class NumericsError(ValueError):
@@ -113,8 +122,8 @@ class Interval:
             raise NumericsError(f"lo {flo} > hi {fhi}")
         ctx = _context(precision)
         raw = (
-            _raw_from_fraction(flo, precision)[0],
-            _raw_from_fraction(fhi, precision)[1],
+            from_rational(flo.numerator, flo.denominator, precision, "f"),
+            from_rational(fhi.numerator, fhi.denominator, precision, "c"),
         )
         return cls(precision, ctx.make_mpf(raw))
 
@@ -175,16 +184,18 @@ class Interval:
 
     __rmul__ = __mul__
 
+    def _contains_zero(self) -> bool:
+        # signs of the raw mpf endpoints (sign, man, exp, bc): lo <= 0 <= hi
+        lo, hi = self._val._mpi_
+        return (lo[0] == 1 or lo == fzero) and hi[0] == 0
+
     def __truediv__(self, other):
-        divisor = other if isinstance(other, Interval) else Interval.from_exact(
-            other, self.precision
-        )
-        if divisor.lo <= 0 <= divisor.hi:
-            raise NumericsError(f"division by interval containing 0: {divisor!r}")
+        if other._contains_zero() if isinstance(other, Interval) else other == 0:
+            raise NumericsError(f"division by interval containing 0: {other!r}")
         return self._binary(other, lambda a, b: a / b)
 
     def __rtruediv__(self, other):
-        if self.lo <= 0 <= self.hi:
+        if self._contains_zero():
             raise NumericsError(f"division by interval containing 0: {self!r}")
         return self._binary(other, lambda a, b: b / a)
 
@@ -312,38 +323,79 @@ def mu(k: int, n: int, precision: Optional[int] = None) -> MuValue:
 
 # -- Bessel I1 --------------------------------------------------------
 
+# Fixed-point guard bits beyond the working precision: with 2^-P at most
+# 2^-(precision + _I1_GUARD - 1) of the first term s/2, the rounding of every
+# step, carried through the recurrence, stays near 2^-(precision + _I1_GUARD)
+# relative to the sum, far below one ulp of the result.
+_I1_GUARD = 32
+# The upper sum stops once its latest term is below 2^-(precision + _I1_STOP)
+# of the partial sum (and the ratio bound is < 1/2); the lower sum drops the
+# same tail, so it loses less than 2^-(precision + _I1_STOP) relative.
+_I1_STOP = 16
+
+
+def _i1_sums(lo: Fraction, hi: Fraction, precision: int) -> tuple[int, int, int]:
+    """Integers (L, U, P) with L / 2^P <= I1(lo) and I1(hi) <= U / 2^P.
+
+    The terms t_m(x) = (x/2)^(2m+1) / (m! (m+1)!) of the ascending series are
+    built by the recurrence t_m = t_(m-1) (x/2)^2 / (m (m+1)) in units of
+    2^-P: the lower chain floors every step at x = lo, the upper chain ceils
+    every step at x = hi.  floor(floor(y) r) <= y r and ceil(ceil(y) r) >= y r
+    for r > 0, so by induction every lower term is <= its true value and
+    every upper term >= its true value.  All terms are positive, so the lower
+    sum may drop its tail; the upper sum adds the geometric majorant
+    t_m q / (1 - q) of the tail after term m, valid since the ratio of
+    consecutive terms beyond m is at most q = (hi/2)^2 / ((m+1)(m+2)) < 1/2.
+    P is scaled by the first term hi/2, so the units stay relative to I1(hi)
+    (which is >= hi/2) also for hi << 1.
+    """
+    an, ad = lo.numerator, lo.denominator
+    bn, bd = hi.numerator, hi.denominator
+    # 2^(e-1) < hi/2 < 2^(e+1)
+    e = bn.bit_length() - bd.bit_length() - 1
+    P = max(0, precision + _I1_GUARD - e)
+    a2n, a2d = an * an, 4 * ad * ad  # (lo/2)^2
+    b2n, b2d = bn * bn, 4 * bd * bd  # (hi/2)^2
+    t = (an << P) // (2 * ad)
+    u = -(-(bn << P) // (2 * bd))
+    lower, upper = t, u
+    stop = precision + _I1_STOP
+    m = 0
+    while True:
+        q_den = b2d * (m + 1) * (m + 2)
+        if 2 * b2n < q_den and u << stop <= upper:
+            tail = -(-u * b2n // (q_den - b2n))
+            return lower, upper + tail, P
+        m += 1
+        if m > 10 * precision + 100000:
+            raise NumericsError("bessel_i1 series failed to converge")
+        d = m * (m + 1)
+        t = t * a2n // (a2d * d)
+        u = -(-u * b2n // (b2d * d))
+        lower += t
+        upper += u
+
 
 def bessel_i1(s: Interval) -> Interval:
     """Enclosure of the modified Bessel function I1.
 
-    Ascending series sum_{m>=0} (s/2)^(2m+1) / (m! (m+1)!), truncated when
-    the next term drops below 2^(-precision-8) of the partial sum, plus a
-    geometric tail majorant with proven ratio < 1/2.
+    I1 is increasing on s >= 0, so I1(s.lo) <= I1(s) <= I1(s.hi).  Both
+    endpoints are read once and the ascending series is summed in scaled
+    integers by :func:`_i1_sums`: a floor-rounded lower sum at s.lo and a
+    ceil-rounded upper sum at s.hi plus a geometric tail majorant.  The
+    integer bounds are rounded outward to ``s.precision`` bits.
     """
-    if s.lo < 0:
+    lo, hi = s.lo, s.hi
+    if lo < 0:
         raise NumericsError(f"bessel_i1 needs s >= 0, got {s!r}")
     precision = s.precision
-    if s.hi == 0:
+    if hi == 0:
         return Interval.from_exact(0, precision)
-    half = s / 2
-    half_sq = half * half
-    term = half  # m = 0 term
-    total = term
-    cutoff = Fraction(1, 2 ** (precision + 8))
-    m = 0
-    while True:
-        m += 1
-        term = term * half_sq / (m * (m + 1))
-        ratio_hi = half_sq.hi / (Fraction((m + 1) * (m + 2)))
-        scale = max(total.lo, Fraction(1))
-        if term.hi <= cutoff * scale and ratio_hi < Fraction(1, 2):
-            # unused tail: term * (1 + q + q^2 + ...) with q = ratio_hi < 1/2
-            tail_hi = term.hi / (1 - ratio_hi)
-            tail = Interval.from_endpoints(0, tail_hi, precision)
-            return total + tail
-        total = total + term
-        if m > 10 * precision + 100000:
-            raise NumericsError("bessel_i1 series failed to converge")
+    lower, upper, P = _i1_sums(lo, hi, precision)
+    scale = 1 << P
+    return Interval.from_endpoints(
+        Fraction(lower, scale), Fraction(upper, scale), precision
+    )
 
 
 # E_I(s) = 1 - 3/(8s) - 15/(128 s^2) - 105/(1024 s^3)
@@ -393,19 +445,21 @@ def bessel_i1_bracket(s: Interval) -> tuple[Interval, Interval]:
 
 
 def dedekind_sum(h: int, j: int) -> Fraction:
-    """Exact s(h, j) by the printed O(j) sawtooth-product sum.
+    """Exact s(h, j) in O(log j) steps by Dedekind reciprocity.
 
-    Since gcd(h, j) = 1, h*r/j is never an integer for 0 < r < j, so the
-    printed form (x - floor(x) - 1/2) agrees with the sawtooth ((x)).
+    s(h, j) depends only on h mod j, and for coprime 0 < h < j
+    s(h, j) = -s(j, h) - 1/4 + (h^2 + j^2 + 1) / (12 h j), so the Euclidean
+    remainder sequence of (j, h) reduces s(h, j) to s(0, 1) = 0.
     """
     if j < 1:
         raise NumericsError(f"j must be >= 1, got {j}")
     if math.gcd(h, j) != 1:
         raise NumericsError(f"gcd({h}, {j}) != 1")
     total = Fraction(0)
-    for r in range(1, j):
-        left = Fraction(r, j) - Fraction(1, 2)
-        hr = h * r
-        right = Fraction(hr, j) - (hr // j) - Fraction(1, 2)
-        total += left * right
+    sign = 1
+    h %= j
+    while h:
+        total += sign * (Fraction(h * h + j * j + 1, 12 * h * j) - Fraction(1, 4))
+        sign = -sign
+        h, j = j % h, h
     return total

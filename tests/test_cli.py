@@ -3,12 +3,13 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
-from regover import chern
-from regover.cli import main
+from regover import chern, cli
+from regover.cli import A_MAX_CEILING, N_MAX_CEILING, main
 from regover.numerics import Interval
 from regover.qseries import pk
 
@@ -292,3 +293,32 @@ class TestJobs:
         four = runner.invoke(main, base + ["--jobs", "4"])
         assert one.stdout and one.stdout == four.stdout
         assert one.exit_code == four.exit_code
+
+
+class TestResourceCeilings:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["count", "--k", "2..9", "--n-max", str(N_MAX_CEILING + 1), "--output", "csv"],
+            ["count", "--k", "2", "--n", str(N_MAX_CEILING + 1)],
+            ["asym", "--k", "2..9", "--n-min", "1000", "--n-max", str(N_MAX_CEILING + 1)],
+            ["lemmas", "--id", "2.3", "--k", "2..9", "--a-max", str(A_MAX_CEILING + 1)],
+        ],
+        ids=["count-n-max", "count-n", "asym", "lemmas"],
+    )
+    def test_ceiling_plus_one_exits_two_at_once(self, runner, monkeypatch, args):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("work started above the resource ceiling")
+
+        for name in ("warm_cache", "pk", "estimate", "verify_lemma"):
+            monkeypatch.setattr(cli, name, no_work)
+        started = time.monotonic()
+        result = runner.invoke(main, args)
+        assert time.monotonic() - started < 1
+        assert result.exit_code == 2
+        assert "exceeds the resource ceiling" in result.output
+
+    def test_ceilings_cover_the_benchmark_and_test_sizes(self):
+        # the benchmark's largest count --n-max (8000) and the lemmas default
+        # --a-max (20, criterion 3's range) must stay accepted
+        assert N_MAX_CEILING >= 8000 and A_MAX_CEILING >= 20

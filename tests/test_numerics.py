@@ -1,5 +1,6 @@
-"""Interval soundness, the certification rule, Bessel enclosures, mu_k(n)
-against its printed table, and Dedekind sums."""
+"""Interval soundness, the certification rule, Bessel enclosures against an
+Interval-wrapped series oracle, mu_k(n) against its printed table, and
+Dedekind sums against their defining sum."""
 
 import math
 import random
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regover.chern import invariants
 from regover.numerics import (
@@ -16,6 +19,7 @@ from regover.numerics import (
     bessel_i1,
     bessel_i1_bracket,
     bessel_i1_upper_simple,
+    _i1_sums,
     certify,
     dedekind_sum,
     default_precision,
@@ -28,6 +32,34 @@ from regover.qseries import build_spec
 
 def iv(x, prec=192):
     return Interval.from_exact(Fraction(x), prec)
+
+
+def bessel_i1_oracle(s: Interval) -> Interval:
+    """I1 by the ascending series with every term in Interval arithmetic.
+
+    Truncated when the next term drops below 2^(-precision-8) of the partial
+    sum, plus a geometric tail majorant with proven ratio < 1/2.  Slow, but
+    independent of the fixed-point kernel in ``bessel_i1``.
+    """
+    precision = s.precision
+    if s.hi == 0:
+        return Interval.from_exact(0, precision)
+    half = s / 2
+    half_sq = half * half
+    term = half  # m = 0 term
+    total = term
+    cutoff = Fraction(1, 2 ** (precision + 8))
+    m = 0
+    while True:
+        m += 1
+        term = term * half_sq / (m * (m + 1))
+        ratio_hi = half_sq.hi / (Fraction((m + 1) * (m + 2)))
+        scale = max(total.lo, Fraction(1))
+        if term.hi <= cutoff * scale and ratio_hi < Fraction(1, 2):
+            # unused tail: term * (1 + q + q^2 + ...) with q = ratio_hi < 1/2
+            tail = Interval.from_endpoints(0, term.hi / (1 - ratio_hi), precision)
+            return total + tail
+        total = total + term
 
 
 class TestIntervalBasics:
@@ -71,6 +103,26 @@ class TestIntervalBasics:
             iv(1) / Interval.from_endpoints(-1, 1)
         with pytest.raises(NumericsError):
             1 / Interval.from_endpoints(0, 2)
+
+    @pytest.mark.parametrize("lo,hi", [(0, 1), (-1, 0), (-1, 1), (0, 0)])
+    def test_division_by_interval_containing_zero(self, lo, hi):
+        divisor = Interval.from_endpoints(lo, hi, 128)
+        with pytest.raises(NumericsError, match="containing 0"):
+            iv(1, 128) / divisor
+        with pytest.raises(NumericsError, match="containing 0"):
+            Fraction(1, 3) / divisor
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_division_by_exact_zero(self, zero):
+        with pytest.raises(NumericsError, match="containing 0"):
+            iv(1) / zero
+
+    def test_division_by_tiny_divisors(self):
+        tiny = Fraction(1, 2**1000)
+        assert (iv(1) / Interval.from_endpoints(tiny, 1)).contains(2**1000)
+        assert (iv(1) / Interval.from_endpoints(-1, -tiny)).contains(-(2**1000))
+        assert (iv(1) / tiny).contains(2**1000)
+        assert (iv(1) / -tiny).contains(-(2**1000))
 
     def test_sqrt_negative_rejected(self):
         with pytest.raises(NumericsError):
@@ -231,6 +283,53 @@ class TestBesselI1:
         with pytest.raises(NumericsError):
             bessel_i1(Interval.from_endpoints(-1, 1))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lo=st.one_of(
+            st.builds(
+                lambda whole, frac: whole + Fraction(frac, 2**30),
+                st.integers(0, 399),
+                st.integers(0, 2**30 - 1),
+            ),
+            st.builds(lambda e: Fraction(1, 2**e), st.integers(1, 230)),
+        ),
+        width=st.one_of(
+            st.just(Fraction(0)),
+            st.builds(lambda e: Fraction(1, 2**e), st.integers(10, 60)),
+        ),
+        precision=st.integers(64, 384),
+    )
+    def test_overlaps_series_oracle(self, lo, width, precision):
+        # dyadic s in [0, 400], down to 2^-230: points and narrow intervals
+        hi = lo + width
+        s = Interval.from_endpoints(lo, hi, precision)
+        ref = bessel_i1_oracle(Interval.from_endpoints(lo, hi, 2 * precision))
+        out = bessel_i1(s)
+        assert out.lo <= ref.hi and ref.lo <= out.hi
+        if hi > 0:
+            # the unrounded fixed-point sums bracket I1 as well
+            lower, upper, P = _i1_sums(lo, hi, precision)
+            assert Fraction(lower, 2**P) <= ref.hi and ref.lo <= Fraction(upper, 2**P)
+
+    @pytest.mark.parametrize("a,b", [(Fraction(1, 3), 57), (26, 27), (0, 5), (150, 300)])
+    def test_wide_input_encloses_endpoint_enclosures(self, a, b):
+        wide = bessel_i1(Interval.from_endpoints(a, b))
+        assert wide.encloses(bessel_i1(Interval.from_endpoints(a, a)))
+        assert wide.encloses(bessel_i1(Interval.from_endpoints(b, b)))
+
+    @pytest.mark.parametrize("prec", [64, 192, 384])
+    def test_tiny_argument_keeps_relative_accuracy(self, prec):
+        # I1(s) ~ s/2 = 2^-101: a grid of 2^-(prec + guard) would lose
+        # about 100 of the enclosure's bits (all 64 of them at prec = 64)
+        out = bessel_i1(iv(Fraction(1, 2**100), prec))
+        assert out.lo > 0
+        assert out.width / out.lo <= Fraction(1, 2 ** (prec - 2))
+
+    @pytest.mark.parametrize("s", [22, 57, 157, 206, 300])
+    def test_relative_width_at_192_bits(self, s):
+        out = bessel_i1(iv(s))
+        assert out.width / out.lo <= Fraction(1, 2**180)
+
     def test_lemma_bracket_containment_sampled(self):
         # two-sided bound valid for s >= 26; 50 samples across [26, 500]
         rng = random.Random(3)
@@ -307,8 +406,17 @@ class TestDedekind:
                 total += (a - Fraction(1, 2)) * (b - Fraction(1, 2))
             return total
 
-        for h, j in [(1, 5), (2, 5), (3, 7), (5, 8), (7, 12)]:
-            assert dedekind_sum(h, j) == oracle(h, j)
+        # every coprime pair with 1 <= j <= 60 and -j < h < 2j: the oracle
+        # does not use reciprocity, which the implementation does
+        pairs = [
+            (h, j)
+            for j in range(1, 61)
+            for h in range(-j + 1, 2 * j)
+            if math.gcd(h, j) == 1
+        ]
+        assert len(pairs) == 3305
+        for h, j in pairs:
+            assert dedekind_sum(h, j) == oracle(h, j), (h, j)
 
     def test_reciprocity_random(self):
         rng = random.Random(13)
