@@ -45,16 +45,16 @@ QBOUND_THRESHOLDS = {
 
 # Q-bound rows: both bounds share 1 - A pi^4/mu^3 + B pi^4/mu^4; the lower
 # bound subtracts c5/mu^5 + c6/mu^6, the upper subtracts d5/mu^5 and adds
-# (d6 + e pi^8)/mu^6.  Entries: (A, B, c5, c6, d5, d6, e).
-_QB_TABLE: dict[int, tuple[Fraction, Fraction, int, int, int, int, Fraction]] = {
-    2: (Fraction(1, 16), Fraction(3, 16), 7, 130, 6, 120, Fraction(1, 256)),
-    3: (Fraction(1, 9), Fraction(1, 3), 13, 200, 6, 146, Fraction(1, 81)),
-    4: (Fraction(9, 64), Fraction(27, 64), 16, 300, 15, 150, Fraction(81, 4096)),
-    5: (Fraction(4, 25), Fraction(12, 25), 18, 400, 17, 400, Fraction(0)),
-    6: (Fraction(25, 144), Fraction(25, 48), 20, 441, 19, 441, Fraction(0)),
-    7: (Fraction(9, 49), Fraction(27, 49), 21, 500, 20, 500, Fraction(0)),
-    8: (Fraction(49, 256), Fraction(147, 256), 21, 505, 20, 505, Fraction(0)),
-    9: (Fraction(16, 81), Fraction(16, 27), 22, 524, 21, 529, Fraction(0)),
+# (d6 + e pi^8)/mu^6.  Printed entries (c5, c6, d5, d6, e); A, B are derived.
+_QB_TABLE: dict[int, tuple[int, int, int, int, Fraction]] = {
+    2: (7, 130, 6, 120, Fraction(1, 256)),
+    3: (13, 200, 6, 146, Fraction(1, 81)),
+    4: (16, 300, 15, 150, Fraction(81, 4096)),
+    5: (18, 400, 17, 400, Fraction(0)),
+    6: (20, 441, 19, 441, Fraction(0)),
+    7: (21, 500, 20, 500, Fraction(0)),
+    8: (21, 505, 20, 505, Fraction(0)),
+    9: (22, 524, 21, 529, Fraction(0)),
 }
 
 
@@ -125,7 +125,10 @@ def q_bounds(
             f"Q bounds for k={k} require n >= {threshold}, got {n}"
         )
     precision = default_precision() if precision is None else precision
-    A, B, c5, c6, d5, d6, e = _QB_TABLE[k]
+    # A = (Delta3(1) / 3)^2 with Delta3(1) = 3 (k-1) / (2k), and B = 3A
+    A = Fraction(k - 1, 2 * k) ** 2
+    B = 3 * A
+    c5, c6, d5, d6, e = _QB_TABLE[k]
     m = mu(k, n, precision).value
     p4 = pi(precision).pow_int(4)
     inv3 = 1 / m.pow_int(3)

@@ -3,12 +3,13 @@ certification loop, Bessel I1 enclosures, the printed I1 bound polynomials,
 Dedekind sums, and the Bessel argument mu_k(n) = pi sqrt((k-1) n / k).
 
 Every transcendental quantity in the asymptotic machinery travels through
-:class:`Interval`, a thin immutable wrapper over mpmath's interval context.
-Precision is a per-value property, never ambient mutable state: each
-precision gets its own frozen context, and binary operations are carried
-out at the larger of the two operand precisions.  Exactly representable
-inputs (integers, rationals) enter through directed rounding, so every
-enclosure is sound by construction.
+:class:`Interval`, an immutable raw pair of mpf endpoints.  Each operation
+calls one of mpmath's interval kernels (``libmpi.mpi_*``) with the result
+precision as an argument, so there are no interval contexts: precision is a
+per-value property, never ambient mutable state, and binary operations run
+at the larger of the two operand precisions.  Exactly representable inputs
+(integers, rationals) enter through directed rounding, so every enclosure
+is sound by construction.
 
 :func:`bessel_i1` is the one hot kernel that does not run through
 :class:`Interval` term by term: it sums the positive ascending series in
@@ -30,13 +31,11 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_rational, fzero, to_rational
+from mpmath.libmp import from_rational, fzero, libmpi, to_rational
 
 
 class NumericsError(ValueError):
@@ -49,7 +48,7 @@ class PrecisionExhausted(ArithmeticError):
 
 DEFAULT_PRECISION = 192
 MIN_PRECISION = 64
-MAX_PRECISION = 384
+MAX_PRECISION = 768
 # guard against exp() of absurd arguments producing numbers with millions
 # of exponent bits; nothing in scope needs exp beyond e^(10^6)
 _MAX_EXP_ARG = 10**6
@@ -69,48 +68,32 @@ def default_precision() -> int:
     return bits
 
 
-_CONTEXTS: dict[int, MPIntervalContext] = {}
-_CONTEXT_LOCK = threading.Lock()
-
-
-def _context(precision: int) -> MPIntervalContext:
-    if precision < MIN_PRECISION:
-        raise NumericsError(f"precision must be >= {MIN_PRECISION}, got {precision}")
-    with _CONTEXT_LOCK:
-        ctx = _CONTEXTS.get(precision)
-        if ctx is None:
-            ctx = MPIntervalContext()
-            ctx.prec = precision
-            _CONTEXTS[precision] = ctx
-    return ctx
-
-
 Exactable = Union[int, Fraction]
 
 
-def _raw_from_fraction(value: Fraction, precision: int):
-    p, q = value.numerator, value.denominator
+def _outward(lo: Fraction, hi: Fraction, precision: int):
+    """Raw endpoint pair (floor of lo, ceiling of hi) at ``precision`` bits."""
+    if precision < MIN_PRECISION:
+        raise NumericsError(f"precision must be >= {MIN_PRECISION}, got {precision}")
     return (
-        from_rational(p, q, precision, "f"),
-        from_rational(p, q, precision, "c"),
+        from_rational(lo.numerator, lo.denominator, precision, "f"),
+        from_rational(hi.numerator, hi.denominator, precision, "c"),
     )
 
 
 @dataclass(frozen=True)
 class Interval:
-    """Directed-rounded enclosure [lo, hi] at a fixed working precision."""
+    """Directed-rounded enclosure [lo, hi] at a fixed working precision: ``_val``
+    is the raw pair of mpf endpoints, and every op is one ``libmpi`` kernel."""
 
     precision: int
-    _val: object  # ivmpf from the context for ``precision``
+    _val: tuple
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def from_exact(cls, value: Exactable, precision: Optional[int] = None) -> "Interval":
-        precision = default_precision() if precision is None else precision
-        frac = Fraction(value)
-        ctx = _context(precision)
-        return cls(precision, ctx.make_mpf(_raw_from_fraction(frac, precision)))
+        return cls.from_endpoints(value, value, precision)
 
     @classmethod
     def from_endpoints(
@@ -120,115 +103,101 @@ class Interval:
         flo, fhi = Fraction(lo), Fraction(hi)
         if flo > fhi:
             raise NumericsError(f"lo {flo} > hi {fhi}")
-        ctx = _context(precision)
-        raw = (
-            from_rational(flo.numerator, flo.denominator, precision, "f"),
-            from_rational(fhi.numerator, fhi.denominator, precision, "c"),
-        )
-        return cls(precision, ctx.make_mpf(raw))
+        return cls(precision, _outward(flo, fhi, precision))
 
     # -- exact endpoint access ----------------------------------------
 
     @property
     def lo(self) -> Fraction:
-        p, q = to_rational(self._val._mpi_[0])
+        p, q = to_rational(self._val[0])
         return Fraction(int(p), int(q))
 
     @property
     def hi(self) -> Fraction:
-        p, q = to_rational(self._val._mpi_[1])
+        p, q = to_rational(self._val[1])
         return Fraction(int(p), int(q))
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __float__(self) -> float:
-        return (float(self.lo) + float(self.hi)) / 2
-
     def __repr__(self) -> str:
-        return f"Interval[{float(self.lo)!r}, {float(self.hi)!r}]@{self.precision}"
+        return f"Interval{self.to_string()}@{self.precision}"
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other, precision: int):
-        ctx = _context(precision)
-        if isinstance(other, Interval):
-            return ctx.convert(other._val)
-        if isinstance(other, (int, Fraction)):
-            return ctx.make_mpf(_raw_from_fraction(Fraction(other), precision))
-        raise NumericsError(f"cannot mix Interval with {type(other).__name__}")
-
     def _binary(self, other, op):
-        precision = max(
-            self.precision, other.precision if isinstance(other, Interval) else 0
-        )
-        ctx = _context(precision)
-        a = ctx.convert(self._val)
-        b = self._coerce(other, precision)
-        return Interval(precision, op(a, b))
+        # binary ops run at the larger precision; an exact operand is
+        # enclosed at self.precision
+        if isinstance(other, Interval):
+            precision = max(self.precision, other.precision)
+            b = other._val
+        elif isinstance(other, (int, Fraction)):
+            precision, exact = self.precision, Fraction(other)
+            b = _outward(exact, exact, precision)
+        else:
+            raise NumericsError(f"cannot mix Interval with {type(other).__name__}")
+        return Interval(precision, op(self._val, b, precision))
+
+    def _unary(self, op, *args):
+        return Interval(self.precision, op(self._val, *args, self.precision))
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, libmpi.mpi_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, libmpi.mpi_sub)
 
     def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
+        return self._binary(other, lambda a, b, prec: libmpi.mpi_sub(b, a, prec))
 
     def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
+        return self._binary(other, libmpi.mpi_mul)
 
     __rmul__ = __mul__
 
     def _contains_zero(self) -> bool:
         # signs of the raw mpf endpoints (sign, man, exp, bc): lo <= 0 <= hi
-        lo, hi = self._val._mpi_
+        lo, hi = self._val
         return (lo[0] == 1 or lo == fzero) and hi[0] == 0
 
     def __truediv__(self, other):
         if other._contains_zero() if isinstance(other, Interval) else other == 0:
             raise NumericsError(f"division by interval containing 0: {other!r}")
-        return self._binary(other, lambda a, b: a / b)
+        return self._binary(other, libmpi.mpi_div)
 
     def __rtruediv__(self, other):
         if self._contains_zero():
             raise NumericsError(f"division by interval containing 0: {self!r}")
-        return self._binary(other, lambda a, b: b / a)
+        return self._binary(other, lambda a, b, prec: libmpi.mpi_div(b, a, prec))
 
     def __neg__(self):
-        return Interval(self.precision, -self._val)
+        return self._unary(libmpi.mpi_neg)
 
     def pow_int(self, exponent: int) -> "Interval":
         if not isinstance(exponent, int):
             raise NumericsError(f"pow_int needs an integer exponent, got {exponent!r}")
         if exponent < 0:
             return 1 / self.pow_int(-exponent)
-        ctx = _context(self.precision)
-        return Interval(self.precision, ctx.convert(self._val) ** exponent)
+        return self._unary(libmpi.mpi_pow_int, exponent)
 
     def sqrt(self) -> "Interval":
         if self.lo < 0:
             raise NumericsError(f"sqrt of interval with negative lo: {self!r}")
-        ctx = _context(self.precision)
-        return Interval(self.precision, ctx.sqrt(ctx.convert(self._val)))
+        return self._unary(libmpi.mpi_sqrt)
 
     def exp(self) -> "Interval":
         if self.hi > _MAX_EXP_ARG:
             raise NumericsError(f"exp argument out of guarded range: {self!r}")
-        ctx = _context(self.precision)
-        return Interval(self.precision, ctx.exp(ctx.convert(self._val)))
+        return self._unary(libmpi.mpi_exp)
 
     def cos(self) -> "Interval":
-        ctx = _context(self.precision)
-        return Interval(self.precision, ctx.cos(ctx.convert(self._val)))
+        return self._unary(libmpi.mpi_cos)
 
     def sin(self) -> "Interval":
-        ctx = _context(self.precision)
-        return Interval(self.precision, ctx.sin(ctx.convert(self._val)))
+        return self._unary(libmpi.mpi_sin)
 
     # -- predicates ---------------------------------------------------
 
@@ -264,8 +233,9 @@ class Interval:
 def pi(precision: Optional[int] = None) -> Interval:
     """Enclosure of pi."""
     precision = default_precision() if precision is None else precision
-    ctx = _context(precision)
-    return Interval(precision, +ctx.pi)
+    if precision < MIN_PRECISION:
+        raise NumericsError(f"precision must be >= {MIN_PRECISION}, got {precision}")
+    return Interval(precision, libmpi.mpi_pi(precision))
 
 
 def certify(

@@ -174,7 +174,10 @@ class TestRemainderBound:
 
 
 class TestBrackets:
-    @pytest.mark.parametrize("k,n", [(2, 99), (2, 1000), (3, 400), (4, 300), (5, 500), (7, 1300)])
+    # (9, 13000): M / R' is about 2^377; 384 bits cannot separate it, 768 can
+    @pytest.mark.parametrize(
+        "k,n", [(2, 99), (2, 1000), (3, 400), (4, 300), (5, 500), (7, 1300), (9, 13000)]
+    )
     def test_theorem_bracket_contains_exact(self, k, n):
         assert verify_bracket(k, n)
 

@@ -22,8 +22,9 @@ from regover.inequalities import (
     scan_thresholds,
     verify_q_containment,
 )
-from regover.numerics import Interval, PrecisionExhausted
-from regover.qseries import pk
+from regover.chern import invariants
+from regover.numerics import MAX_PRECISION, Interval, PrecisionExhausted, mu, pi
+from regover.qseries import build_spec, pk
 
 from conftest import SUBADD_COUNTEREXAMPLES
 
@@ -197,12 +198,48 @@ class TestQBounds:
         monkeypatch.setattr(inequalities, "q_bounds", straddling)
         with pytest.raises(PrecisionExhausted, match="k=3, n=400"):
             verify_q_containment(3, 400, 192)
-        assert asked == [192, 384]
+        assert asked == [192, 384, MAX_PRECISION]
 
     def test_bounds_tighten_with_n(self):
         lo1, hi1 = q_bounds(3, 400)
         lo2, hi2 = q_bounds(3, 4000)
         assert (hi2.hi - lo2.lo) < (hi1.hi - lo1.lo)
+
+    # the printed (A, B) columns of the Q-bound rows: the independent
+    # reference for q_bounds' derived A = ((k-1)/(2k))^2 and B = 3A
+    PRINTED_AB = {
+        2: (Fraction(1, 16), Fraction(3, 16)),
+        3: (Fraction(1, 9), Fraction(1, 3)),
+        4: (Fraction(9, 64), Fraction(27, 64)),
+        5: (Fraction(4, 25), Fraction(12, 25)),
+        6: (Fraction(25, 144), Fraction(25, 48)),
+        7: (Fraction(9, 49), Fraction(27, 49)),
+        8: (Fraction(49, 256), Fraction(147, 256)),
+        9: (Fraction(16, 81), Fraction(16, 27)),
+    }
+
+    @pytest.mark.parametrize("k", KS)
+    def test_printed_a_b_are_delta3_squares(self, k):
+        A, B = self.PRINTED_AB[k]
+        delta3 = invariants(build_spec(k)).delta3[1]
+        assert A == (delta3 / 3) ** 2 == Fraction(k - 1, 2 * k) ** 2
+        assert B == 3 * A
+
+    @pytest.mark.parametrize("k", KS)
+    def test_bounds_match_printed_a_b(self, k):
+        # the printed rows evaluated term by term give the same endpoints
+        n, prec = QBOUND_THRESHOLDS[k] + 11, 192
+        A, B = self.PRINTED_AB[k]
+        c5, c6, d5, d6, e = inequalities._QB_TABLE[k]
+        m = mu(k, n, prec).value
+        p4 = pi(prec).pow_int(4)
+        inv = {j: 1 / m.pow_int(j) for j in (3, 4, 5, 6)}
+        shared = 1 - p4 * A * inv[3] + p4 * B * inv[4]
+        lower = shared - c5 * inv[5] - c6 * inv[6]
+        upper = shared - d5 * inv[5] + (d6 + e * pi(prec).pow_int(8)) * inv[6]
+        got_lower, got_upper = q_bounds(k, n, prec)
+        assert (got_lower.lo, got_lower.hi) == (lower.lo, lower.hi)
+        assert (got_upper.lo, got_upper.hi) == (upper.lo, upper.hi)
 
 
 class TestScan:

@@ -1,8 +1,10 @@
-"""Interval soundness, the certification rule, Bessel enclosures against an
-Interval-wrapped series oracle, mu_k(n) against its printed table, and
-Dedekind sums against their defining sum."""
+"""Interval soundness and bit-identity with mpmath's interval context, the
+certification rule, Bessel enclosures against an Interval-wrapped series
+oracle, mu_k(n) against its printed table, and Dedekind sums against their
+defining sum."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,9 +12,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
 from regover.chern import invariants
 from regover.numerics import (
+    MAX_PRECISION,
     Interval,
     NumericsError,
     PrecisionExhausted,
@@ -141,6 +145,123 @@ class TestIntervalBasics:
         with pytest.raises(NumericsError):
             default_precision()
 
+    def test_precision_below_minimum_rejected(self):
+        with pytest.raises(NumericsError, match=">= 64"):
+            Interval.from_exact(1, 63)
+        with pytest.raises(NumericsError, match=">= 64"):
+            Interval.from_endpoints(0, 1, 63)
+        with pytest.raises(NumericsError, match=">= 64"):
+            pi(63)
+        assert Interval.from_exact(1, 64).precision == 64
+
+    def test_repr_beyond_float_range(self):
+        # 3 * 2^1330 has no float; repr and error messages must still work
+        big = iv(3) / Fraction(1, 2**1330)
+        assert repr(big).startswith("Interval[") and repr(big).endswith("]@192")
+        assert repr(iv(1)) == "Interval[1,1]@192"
+        with pytest.raises(NumericsError, match="containing 0: Interval"):
+            iv(1) / Interval.from_endpoints(-big.hi, big.hi)
+
+
+def _context(precision):
+    ctx = MPIntervalContext()
+    ctx.prec = precision
+    return ctx
+
+
+def _ref_operand(ctx, x):
+    # an Interval's endpoints are copied unrounded; an exact operand is
+    # rounded outward at the context precision
+    if isinstance(x, Interval):
+        return ctx.make_mpf(x._val)
+    x = Fraction(x)
+    return ctx._mpq((x.numerator, x.denominator))
+
+
+_exacts = st.one_of(
+    st.integers(-(10**9), 10**9),
+    st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=10**12),
+)
+
+
+@st.composite
+def _intervals(draw):
+    prec = draw(st.integers(64, 384))
+    a, b = sorted(
+        draw(st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=10**12))
+        for _ in range(2)
+    )
+    x = Interval.from_endpoints(a, b, prec)
+    # a product with pi gives full-width mantissas
+    return x * pi(prec) if draw(st.booleans()) else x
+
+
+class TestMatchesIntervalContext:
+    """Every op gives exactly the endpoints of a fresh MPIntervalContext."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        x=_intervals(),
+        y=st.one_of(_intervals(), _exacts),
+        op=st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
+        swap=st.booleans(),
+    )
+    def test_binary(self, x, y, op, swap):
+        precision = max(x.precision, y.precision if isinstance(y, Interval) else 0)
+        ctx = _context(precision)
+        a, b = _ref_operand(ctx, x), _ref_operand(ctx, y)
+        if swap:
+            x, y, a, b = y, x, b, a
+        if op is operator.truediv and 0 in b:
+            with pytest.raises(NumericsError, match="containing 0"):
+                op(x, y)
+            return
+        out = op(x, y)
+        assert out.precision == precision
+        assert out._val == op(a, b)._mpi_
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=_intervals(),
+        name=st.sampled_from(["neg", "pow_int", "sqrt", "exp", "cos", "sin"]),
+        n=st.integers(-8, 8),
+    )
+    def test_unary(self, x, name, n):
+        ctx = _context(x.precision)
+        a = _ref_operand(ctx, x)
+        if name == "neg":
+            out, ref = -x, -a
+        elif name == "pow_int":
+            if n < 0 and 0 in a:
+                with pytest.raises(NumericsError, match="containing 0"):
+                    x.pow_int(n)
+                return
+            out, ref = x.pow_int(n), (1 / a ** (-n) if n < 0 else a**n)
+        elif name == "sqrt":
+            if x.lo < 0:
+                with pytest.raises(NumericsError, match="negative lo"):
+                    x.sqrt()
+                return
+            out, ref = x.sqrt(), ctx.sqrt(a)
+        else:
+            out, ref = getattr(x, name)(), getattr(ctx, name)(a)
+        assert out.precision == x.precision
+        assert out._val == ref._mpi_
+
+    @given(precision=st.integers(64, 384))
+    def test_pi(self, precision):
+        assert pi(precision)._val == (+_context(precision).pi)._mpi_
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=_exacts, width=_exacts, precision=st.integers(64, 384))
+    def test_construction(self, value, width, precision):
+        ctx = _context(precision)
+        exact = Interval.from_exact(value, precision)
+        assert exact._val == _ref_operand(ctx, value)._mpi_
+        lo, hi = sorted((Fraction(value), Fraction(value) + Fraction(width)))
+        got = Interval.from_endpoints(lo, hi, precision)._val
+        assert got == (_ref_operand(ctx, lo)._mpi_[0], _ref_operand(ctx, hi)._mpi_[1])
+
 
 class TestCertify:
     @staticmethod
@@ -173,7 +294,9 @@ class TestCertify:
 
     @pytest.mark.parametrize("value", [1, 2])
     def test_touching_endpoint_is_not_a_certificate(self, value):
-        with pytest.raises(PrecisionExhausted, match="touch inconclusive at 384"):
+        with pytest.raises(
+            PrecisionExhausted, match=f"touch inconclusive at {MAX_PRECISION}"
+        ):
             certify(value, self.bracket((0, 1), (2, 3)), 192, "touch")
 
 
