@@ -40,9 +40,10 @@ EXIT_PRECISION = 3
 K_MIN, K_MAX = 2, 9
 
 # Resource ceilings.  Measured on a 2-core host (Python 3.11, pure-Python
-# mpmath): ``count --k 2..9 --n-max 50000 --output csv`` takes 46 s and
-# 235 MB; ``lemmas --id 2.3 --k 2..9 --a-max 26`` takes 42 s and 390 MB, and
-# each step of a multiplies time and memory by about 1.3.
+# mpmath): ``count --k 2..9 --n-max 50000 --output csv`` takes 12 s and
+# 244 MB, of which the eight tables are 4.6 s and 82 MB and the rest is row
+# formatting and CSV output; ``lemmas --id 2.3 --k 2..9 --a-max 26`` takes
+# 42 s and 390 MB, and each step of a multiplies time and memory by about 1.3.
 N_MAX_CEILING = 50_000
 A_MAX_CEILING = 26
 

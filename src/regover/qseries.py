@@ -1,26 +1,36 @@
 """Exact q-series arithmetic for k-regular overpartition counting.
 
 The number of overpartitions of n with no part divisible by k has the
-eta-quotient generating function
+generating function
 
-    (q^k;q^k)^2 (q^2;q^2) / ((q;q)^2 (q^{2k};q^{2k})),
+    prod_{k not | m} (1 + q^m)/(1 - q^m) = phi(-q^k) / phi(-q),
 
-obtained from the classical form by rewriting (-q^a;q^a) as
-(q^{2a};q^{2a})/(q^a;q^a).  Everything in this module is exact: coefficients
-are Python ints, truncation orders are explicit, and no floating point is
-involved anywhere.
+where phi(-q) = (q;q)/(-q;q) = 1 + 2 sum_{j>=1} (-1)^j q^{j^2} is Gauss's
+theta identity.  Its reciprocal 1/phi(-q) = sum pbar(n) q^n counts all
+overpartitions, so the coefficients of the k-regular series are
 
-Euler factors (q^m;q^m)_inf are expanded by the pentagonal number theorem,
-so each factor has only O(sqrt(N/m)) nonzero coefficients up to order N.
-Multiplying or dividing a dense series by such a sparse factor costs
-O(N sqrt(N/m)), which keeps full coefficient tables up to N ~ 10^4 cheap.
+    pbar_k(n) = pbar(n) + 2 sum_{j>=1} (-1)^j pbar(n - k j^2).
+
+This module keeps one table of pbar(n), grown in place by its own theta
+recurrence pbar(n) = 2 sum_{j>=1} (-1)^{j+1} pbar(n - j^2) and shared by
+every k.  Each k-regular table up to order N is that table plus
+floor(sqrt(N/k)) shifted copies of 2 pbar: O(N sqrt(N/k)) integer additions
+per k, after an O(N sqrt(N)) shared table that is paid once.
+
+Rewriting (-q^a;q^a) as (q^{2a};q^{2a})/(q^a;q^a) gives the same series as
+the eta quotient (q^k;q^k)^2 (q^2;q^2) / ((q;q)^2 (q^{2k};q^{2k})), whose
+exponents :func:`build_spec` returns for the invariants in
+:mod:`regover.chern`.
+
+Everything here is exact: coefficients are Python ints, truncation orders
+are explicit, and no floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
-import threading
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from math import isqrt
 
 
 class SeriesError(ValueError):
@@ -70,91 +80,6 @@ class EtaQuotientSpec:
         )
 
 
-def unit_series(order: int) -> IntegerSeries:
-    """The constant series 1, truncated at the given order."""
-    return IntegerSeries((1,) + (0,) * order)
-
-
-def _pentagonal_terms(m: int, order: int) -> list[tuple[int, int]]:
-    """Sparse expansion of (q^m;q^m)_inf up to the given order.
-
-    Returns (exponent, sign) pairs: exponent m*j(3j-1)/2 with sign (-1)^j
-    for j = 0, +-1, +-2, ...  All signs are +-1.
-    """
-    terms = [(0, 1)]
-    j = 1
-    while True:
-        sign = -1 if j % 2 else 1
-        e1 = m * j * (3 * j - 1) // 2
-        e2 = m * j * (3 * j + 1) // 2
-        if e1 > order:
-            break
-        terms.append((e1, sign))
-        if e2 <= order:
-            terms.append((e2, sign))
-        j += 1
-    return terms
-
-
-def euler_series(m: int, order: int) -> IntegerSeries:
-    """(q^m;q^m)_inf truncated at the given order.
-
-    Coefficients all lie in {-1, 0, 1} by the pentagonal number theorem.
-    """
-    if m < 1:
-        raise SeriesError(f"m must be >= 1, got {m}")
-    if order < 0:
-        raise SeriesError(f"order must be >= 0, got {order}")
-    coeffs = [0] * (order + 1)
-    for e, s in _pentagonal_terms(m, order):
-        coeffs[e] += s
-    return IntegerSeries(tuple(coeffs))
-
-
-def series_mul(a: IntegerSeries, b: IntegerSeries) -> IntegerSeries:
-    """Exact Cauchy product truncated at the common order."""
-    if a.order != b.order:
-        raise SeriesError(f"order mismatch: {a.order} != {b.order}")
-    n = a.order
-    out = [0] * (n + 1)
-    # iterate over nonzero coefficients of the sparser operand
-    nza = sum(1 for c in a.coeffs if c)
-    nzb = sum(1 for c in b.coeffs if c)
-    x, y = (a, b) if nza <= nzb else (b, a)
-    for i, ci in enumerate(x.coeffs):
-        if not ci:
-            continue
-        yc = y.coeffs
-        for j in range(n - i + 1):
-            cj = yc[j]
-            if cj:
-                out[i + j] += ci * cj
-    return IntegerSeries(tuple(out))
-
-
-def series_invert(a: IntegerSeries) -> IntegerSeries:
-    """Multiplicative inverse of a series with constant term 1.
-
-    Forward substitution: b_n = -sum_{i>=1} a_i b_{n-i}.  Zero coefficients
-    of ``a`` are skipped, so inverting a pentagonal-sparse Euler factor costs
-    O(N sqrt(N)) instead of O(N^2).
-    """
-    if a.coeffs[0] != 1:
-        raise SeriesError("can only invert a series with constant term 1")
-    n = a.order
-    nz = [(i, c) for i, c in enumerate(a.coeffs) if i and c]
-    b = [0] * (n + 1)
-    b[0] = 1
-    for j in range(1, n + 1):
-        acc = 0
-        for i, c in nz:
-            if i > j:
-                break
-            acc += c * b[j - i]
-        b[j] = -acc
-    return IntegerSeries(tuple(b))
-
-
 def build_spec(k: int) -> EtaQuotientSpec:
     """Eta-quotient exponents for the k-regular overpartition series."""
     if k < 2:
@@ -162,68 +87,48 @@ def build_spec(k: int) -> EtaQuotientSpec:
     return EtaQuotientSpec(((1, -2), (2, 1), (k, 2), (2 * k, -1)))
 
 
-def _mul_pentagonal(dense: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
-    n = len(dense) - 1
-    out = [0] * (n + 1)
-    for e, s in terms:
-        if s == 1:
-            for i in range(e, n + 1):
-                out[i] += dense[i - e]
-        else:
-            for i in range(e, n + 1):
-                out[i] -= dense[i - e]
-    return out
+# pbar(0), pbar(1), ...: the overpartition counts shared by every k.  The table
+# only grows, by appending, so each prefix is final once computed.
+_OVERPARTITIONS: list[int] = [1]
 
 
-def _div_pentagonal(dense: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
-    # forward substitution against a divisor with constant term 1
-    n = len(dense) - 1
-    tail = [(e, s) for e, s in terms if e > 0]
-    out = [0] * (n + 1)
-    for i in range(n + 1):
-        acc = dense[i]
-        for e, s in tail:
-            if e > i:
-                break
-            if s == 1:
-                acc -= out[i - e]
-            else:
-                acc += out[i - e]
-        out[i] = acc
-    return out
+def _overpartitions(order: int) -> list[int]:
+    """The shared table of pbar(n) for n <= ``order`` (and possibly beyond).
 
-
-def eta_quotient_series(spec: EtaQuotientSpec, order: int) -> IntegerSeries:
-    """Expand the eta quotient defined by ``spec`` to the given order."""
-    if order < 0:
-        raise SeriesError(f"order must be >= 0, got {order}")
-    dense = [1] + [0] * order
-    # multiplications first; division by a unit-constant factor is exact over Z
-    # in any order, but this keeps intermediate coefficients small-ish
-    for m, d in spec.factors:
-        if d > 0:
-            terms = _pentagonal_terms(m, order)
-            for _ in range(d):
-                dense = _mul_pentagonal(dense, terms)
-    for m, d in spec.factors:
-        if d < 0:
-            terms = _pentagonal_terms(m, order)
-            for _ in range(-d):
-                dense = _div_pentagonal(dense, terms)
-    return IntegerSeries(tuple(dense))
+    Missing entries are appended by the theta recurrence: odd j add
+    pbar(n - j^2), even j subtract it, and the sum is doubled.
+    """
+    table = _OVERPARTITIONS
+    root = isqrt(order)
+    odd_squares = [j * j for j in range(1, root + 1, 2)]
+    even_squares = [j * j for j in range(2, root + 1, 2)]
+    for n in range(len(table), order + 1):
+        m = isqrt(n)
+        plus = sum([table[n - s] for s in odd_squares[: (m + 1) // 2]])
+        minus = sum([table[n - s] for s in even_squares[: m // 2]])
+        table.append(2 * (plus - minus))
+    return table
 
 
 def pk_series(k: int, order: int) -> IntegerSeries:
     """Series whose coefficient of q^n counts k-regular overpartitions of n."""
     if k < 2:
         raise SeriesError(f"k must be >= 2, got {k}")
-    return eta_quotient_series(build_spec(k), order)
+    if order < 0:
+        raise SeriesError(f"order must be >= 0, got {order}")
+    coeffs = _overpartitions(order)[: order + 1]
+    doubled = [2 * c for c in coeffs]
+    for j in range(1, isqrt(order // k) + 1):
+        e = k * j * j
+        step = operator.sub if j % 2 else operator.add
+        coeffs[e:] = map(step, coeffs[e:], doubled[: order + 1 - e])
+    return IntegerSeries(tuple(coeffs))
 
 
-# Memoized coefficient tables, one per k, grown geometrically.  Reads and
-# regrowth happen under a coarse lock; completed tuples are immutable.
+# Memoized coefficient tables, one per k, grown geometrically.  Callers run
+# in one thread, so neither this cache nor the shared pbar table takes a
+# lock; completed series are immutable.
 _CACHE: dict[int, IntegerSeries] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def pk(k: int, n: int) -> int:
@@ -232,13 +137,12 @@ def pk(k: int, n: int) -> int:
         raise SeriesError(f"k must be >= 2, got {k}")
     if n < 0:
         raise SeriesError(f"n must be >= 0, got {n}")
-    with _CACHE_LOCK:
-        cached = _CACHE.get(k)
-        if cached is None or cached.order < n:
-            target = max(n, 2 * (cached.order if cached else 0), 256)
-            cached = pk_series(k, target)
-            _CACHE[k] = cached
-        return cached.coeffs[n]
+    cached = _CACHE.get(k)
+    if cached is None or cached.order < n:
+        target = max(n, 2 * (cached.order if cached else 0), 256)
+        cached = pk_series(k, target)
+        _CACHE[k] = cached
+    return cached.coeffs[n]
 
 
 def warm_cache(k: int, order: int) -> None:

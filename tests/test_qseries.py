@@ -1,16 +1,25 @@
-"""Series arithmetic checks against brute-force polynomial oracles."""
+"""Series arithmetic checks against brute-force polynomial oracles.
+
+``pk_series`` runs on the theta identity; the eta-quotient expansion in
+``qseries_oracle`` is the independent reference it must reproduce.
+"""
 
 import pytest
+
+from regover import qseries
 
 from regover.qseries import (
     EtaQuotientSpec,
     IntegerSeries,
     SeriesError,
     build_spec,
-    euler_series,
-    eta_quotient_series,
     pk,
     pk_series,
+)
+
+from qseries_oracle import (
+    euler_series,
+    eta_quotient_series,
     series_invert,
     series_mul,
     unit_series,
@@ -167,10 +176,34 @@ class TestPkSeries:
         assert pk_series(5, 50) == eta_quotient_series(build_spec(5), 50)
 
     @pytest.mark.parametrize("k", range(2, 10))
+    def test_matches_eta_quotient_oracle_to_10000(self, k):
+        order = 10_000
+        assert pk_series(k, order) == eta_quotient_series(build_spec(k), order)
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(SeriesError):
+            pk_series(1, 5)
+        with pytest.raises(SeriesError):
+            pk_series(2, -1)
+
+    @pytest.mark.parametrize("k", range(2, 10))
     def test_positive_and_nondecreasing(self, k):
         s = pk_series(k, 120)
         assert all(c >= 1 for c in s.coeffs)
         assert all(s.coeffs[n + 1] >= s.coeffs[n] for n in range(1, 120))
+
+
+class TestOverpartitionTable:
+    def test_first_values(self):
+        # OEIS A015128: overpartitions of n
+        table = qseries._overpartitions(10)
+        assert table[:11] == [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232]
+
+    def test_matches_eta_quotient_oracle(self):
+        # 1/phi(-q) = (q^2;q^2) / (q;q)^2
+        order = 3000
+        oracle = eta_quotient_series(EtaQuotientSpec(((1, -2), (2, 1))), order)
+        assert tuple(qseries._overpartitions(order)[: order + 1]) == oracle.coeffs
 
 
 class TestPkAccessor:
@@ -186,6 +219,16 @@ class TestPkAccessor:
         direct = pk_series(7, 300)
         for n in (5, 120, 300):
             assert pk(7, n) == direct.coeffs[n]
+
+    def test_shared_table_grown_through_another_k(self, monkeypatch):
+        # start cold, grow the shared table through k = 2, then read k = 9
+        monkeypatch.setattr(qseries, "_OVERPARTITIONS", [1])
+        monkeypatch.setattr(qseries, "_CACHE", {})
+        pk(9, 50)
+        pk(2, 3000)
+        oracle = eta_quotient_series(build_spec(9), 3000)
+        assert pk(9, 3000) == oracle.coeffs[3000]
+        assert qseries._CACHE[9] == oracle
 
     def test_rejects_bad_args(self):
         with pytest.raises(SeriesError):
