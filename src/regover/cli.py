@@ -42,8 +42,9 @@ K_MIN, K_MAX = 2, 9
 # Resource ceilings.  Measured on a 2-core host (Python 3.11, pure-Python
 # mpmath): ``count --k 2..9 --n-max 50000 --output csv`` takes 12 s and
 # 244 MB, of which the eight tables are 4.6 s and 82 MB and the rest is row
-# formatting and CSV output; ``lemmas --id 2.3 --k 2..9 --a-max 26`` takes
-# 42 s and 390 MB, and each step of a multiplies time and memory by about 1.3.
+# formatting and CSV output; ``lemmas --id 2.3 --k 2..9 --a-max 26 --output
+# csv`` takes about 5 s and 59 MB, and each step of a multiplies its time by
+# about 1.4 and its memory by about 1.15.
 N_MAX_CEILING = 50_000
 A_MAX_CEILING = 26
 

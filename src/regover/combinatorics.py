@@ -1,9 +1,10 @@
 """Overpartition objects, constrained enumeration, and the splitting injections.
 
 An overpartition is a partition in which the first occurrence of each
-distinct part size may be overlined.  Canonical form stores parts in
-non-increasing size order with the overlined copy (if any) ahead of the
-non-overlined copies of the same size.
+distinct part size may be overlined (Corteel and Lovejoy, *Overpartitions*,
+Trans. AMS 2004).  Canonical form stores parts in non-increasing size order
+with the overlined copy (if any) ahead of the non-overlined copies of the
+same size.
 
 Restricted sets follow the convention forced by the splitting maps and the
 counting identities they certify:
@@ -18,6 +19,23 @@ The maps f1 (with its even-k variant), f2 and f3 split an overpartition of
 a+b into a pair of smaller overpartitions; exhaustive enumeration checks
 injectivity and codomain membership, and explicit unattained codomain
 elements witness strictness of the count inequalities.
+
+Canonical tuples are built once and trusted inside this module.
+``Overpartition(parts)`` is the validating public boundary: it sorts the
+parts into canonical order and rejects non-positive sizes and repeated
+overlines.  :func:`enumerate_overpartitions` instead builds each canonical
+part tuple directly (a dynamic programme over part sizes in increasing
+order, each new largest size prepended as one block; cf. Knuth, TAOCP 4A,
+§7.2.1.4) and wraps it with the internal ``Overpartition._trusted``, which
+neither sorts nor validates.  The internal bodies ``_f2`` and ``_f3`` build
+their images the same way, since dropping trailing parts of a canonical
+tuple, or replacing its last part of size >= 2 by 1's, keeps it canonical.
+The public ``f2_map``/``f3_map`` check their preconditions before
+delegating to them; ``f1_map``, whose extra parts are not provably
+canonical, keeps the validating constructor.  Trusting construction skips no verification:
+:func:`verify_lemma` still checks every image's weight, codomain membership
+and distinctness, and :func:`count_overpartitions` recounts every domain
+independently.
 """
 
 from __future__ import annotations
@@ -25,7 +43,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Optional
 
 
 class OverpartitionError(ValueError):
@@ -43,7 +62,7 @@ def _canonical(parts) -> tuple[Part, ...]:
     return tuple(sorted(parts, key=lambda p: (-p[0], not p[1])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Overpartition:
     """Canonical multiset of parts with per-size overline flags."""
 
@@ -61,9 +80,16 @@ class Overpartition:
                 seen_over.add(s)
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _trusted(cls, parts: tuple[Part, ...]) -> "Overpartition":
+        """Wrap ``parts``, which must already be canonical and valid."""
+        op = object.__new__(cls)
+        _set_parts(op, parts)
+        return op
+
     @property
     def weight(self) -> int:
-        return sum(s for s, _ in self.parts)
+        return sum(map(itemgetter(0), self.parts))
 
     def count_plain(self, size: int) -> int:
         """Number of non-overlined copies of ``size``."""
@@ -76,7 +102,7 @@ class Overpartition:
         parts = list(self.parts)
         for p in removed:
             parts.remove(p)  # raises ValueError if absent
-        return Overpartition(tuple(parts))
+        return Overpartition._trusted(tuple(parts))
 
     def __str__(self) -> str:
         return (
@@ -86,7 +112,17 @@ class Overpartition:
         )
 
 
+_set_parts = Overpartition.parts.__set__  # the slot's setter bypasses frozen
+
 EMPTY = Overpartition(())
+
+# The fixed right-hand images of f2 and f3.
+ONE = Overpartition(((1, False),))
+ONE_OVER = Overpartition(((1, True),))
+TWO = Overpartition(((2, False),))
+TWO_OVER = Overpartition(((2, True),))
+ONE_ONE = Overpartition(((1, False), (1, False)))
+OVER1_ONE = Overpartition(((1, True), (1, False)))
 
 
 @dataclass(frozen=True)
@@ -115,49 +151,54 @@ class Constraint:
         return True
 
     def satisfied_by(self, op: Overpartition) -> bool:
+        k, no1, no2 = self.k_regular, self.forbid_ones, self.forbid_twos
         for s, o in op.parts:
-            if not self.allows_size(s):
+            if k is not None and s % k == 0:
                 return False
-            if not o and not self.allows_plain(s):
+            if not o and ((s == 1 and no1) or (s == 2 and no2)):
                 return False
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitPair:
     left: Overpartition
     right: Overpartition
 
 
-@lru_cache(maxsize=None)
+# Bounded, yet enough for one k's working set in verify_lemma: the domain at
+# a+1 or a+2 and the witness domain at a, and every total of a `lemmas --id
+# 2.1` grid at the default --total-max.
+@lru_cache(maxsize=32)
 def enumerate_overpartitions(
     n: int, constraint: Constraint = Constraint()
 ) -> tuple[Overpartition, ...]:
-    """All overpartitions of n satisfying the constraint, canonically ordered."""
+    """All overpartitions of n satisfying the constraint, ordered by parts."""
     if n < 0:
         raise OverpartitionError(f"n must be >= 0, got {n}")
-
-    def gen(remaining: int, max_size: int) -> Iterator[tuple[Part, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for s in range(min(remaining, max_size), 0, -1):
-            if not constraint.allows_size(s):
-                continue
-            for mult in range(1, remaining // s + 1):
-                for over in (True, False):
-                    plain = mult - (1 if over else 0)
-                    if over is False and plain == 0:
-                        continue
-                    if plain and not constraint.allows_plain(s):
-                        continue
-                    head = ((s, True),) * (1 if over else 0) + ((s, False),) * plain
-                    for rest in gen(remaining - s * mult, s - 1):
-                        yield head + rest
-
-    ops = [Overpartition(p) for p in gen(n, n)]
-    ops.sort(key=lambda op: op.parts)
-    return tuple(ops)
+    # level[w]: canonical part tuples of weight w using the sizes seen so far.
+    # Adding size s prepends one block of s's to tuples of smaller sizes.
+    # After size s only level[n] and the weights w <= n-s-1 are kept up to
+    # date: a later, larger part leaves at most n-s-1 for the rest.
+    level: list[list[tuple[Part, ...]]] = [[] for _ in range(n + 1)]
+    level[0].append(())
+    for s in range(1, n + 1):
+        if not constraint.allows_size(s):
+            continue
+        # (weight, block) in increasing weight: s~, then s^m and s~ s^m
+        over, plain = ((s, True),), ((s, False),)
+        heads = [(s, over)]
+        if constraint.allows_plain(s):
+            for mult in range(1, n // s + 1):
+                heads.append((s * mult, plain * mult))
+                heads.append((s * (mult + 1), over + plain * mult))
+        for w in (n, *range(n - s - 1, s - 1, -1)):
+            grown = level[w]
+            for hw, head in heads:
+                if hw > w:
+                    break
+                grown.extend([head + rest for rest in level[w - hw]])
+    return tuple(map(Overpartition._trusted, sorted(level[n])))
 
 
 def count_overpartitions(n: int, constraint: Constraint = Constraint()) -> int:
@@ -197,16 +238,60 @@ def count_overpartitions(n: int, constraint: Constraint = Constraint()) -> int:
     return walk(n, n)
 
 
-def _split_trailing_ones(op: Overpartition):
-    """Decompose parts as (rest of size >= 2, overlined-1 flag r, plain-1 count s)."""
-    rest = [p for p in op.parts if p[0] > 1]
-    r = 1 if op.has_overlined(1) else 0
-    s = op.count_plain(1)
-    return rest, r, s
+_PLAIN_ONE = ((1, False),)
+_OVER_ONE = ((1, True),)
 
 
-def _ones(count: int) -> list[Part]:
-    return [(1, False)] * count
+def _split_trailing_ones(parts: tuple[Part, ...]):
+    """Decompose canonical parts as (parts of size >= 2, overlined-1 flag r,
+    plain-1 count s); the size-1 parts form the tail, overlined one first."""
+    i = len(parts)
+    while i and parts[i - 1][0] == 1:
+        i -= 1
+    r = 1 if i < len(parts) and parts[i][1] else 0
+    return parts[:i], r, len(parts) - i - r
+
+
+def _as_ones(over: bool, weight: int) -> tuple[Part, ...]:
+    """Canonical 1's of total ``weight``, the first one overlined if ``over``."""
+    if over:
+        return _OVER_ONE + _PLAIN_ONE * (weight - 1)
+    return _PLAIN_ONE * weight
+
+
+def _f2(op: Overpartition) -> SplitPair:
+    """f2 on an overpartition of positive weight, k-regular with no plain 2."""
+    parts = op.parts
+    rest, r, s = _split_trailing_ones(parts)
+    trusted = Overpartition._trusted
+    if s >= 1:
+        return SplitPair(trusted(parts[:-1]), ONE)
+    if r == 1:  # s == 0: drop the overlined 1
+        return SplitPair(trusted(rest), ONE_OVER)
+    size, over = rest[-1]
+    return SplitPair(trusted(rest[:-1] + _as_ones(over, size - 1)), ONE_OVER)
+
+
+def _f3(op: Overpartition) -> SplitPair:
+    """f3 on an overpartition of weight >= 2, k-regular with no plain 2."""
+    parts = op.parts
+    rest, r, s = _split_trailing_ones(parts)
+    trusted = Overpartition._trusted
+    if s >= 2:
+        return SplitPair(trusted(parts[:-2]), TWO)
+    if s == 1 and r == 1:
+        return SplitPair(trusted(rest), TWO_OVER)
+
+    size, over = rest[-1]
+    head = rest[:-1]
+    if s == 1:  # r == 0; the lone plain 1 is also consumed
+        return SplitPair(trusted(head + _as_ones(over, size - 1)), ONE_ONE)
+    if r == 0:  # s == 0
+        if (size, over) == (2, True):
+            return SplitPair(trusted(head), ONE_ONE)
+        return SplitPair(trusted(head + _as_ones(over, size - 2)), OVER1_ONE)
+    # s == 0, r == 1
+    return SplitPair(trusted(head + _as_ones(over, size - 1)), TWO_OVER)
 
 
 def f2_map(op: Overpartition, k: int) -> SplitPair:
@@ -216,22 +301,7 @@ def f2_map(op: Overpartition, k: int) -> SplitPair:
         raise OverpartitionError(f"{op} is not {k}-regular with no 2's")
     if op.weight < 1:
         raise OverpartitionError("domain requires positive weight")
-    rest, r, s = _split_trailing_ones(op)
-    if s >= 1:
-        left = op.remove((1, False))
-        right = Overpartition(((1, False),))
-    elif r == 0:
-        size, over = rest[-1]
-        head = rest[:-1]
-        if over:
-            left = Overpartition(tuple(head) + ((1, True),) + tuple(_ones(size - 2)))
-        else:
-            left = Overpartition(tuple(head) + tuple(_ones(size - 1)))
-        right = Overpartition(((1, True),))
-    else:  # s == 0, r == 1: drop the overlined 1
-        left = Overpartition(tuple(rest))
-        right = Overpartition(((1, True),))
-    return SplitPair(left, right)
+    return _f2(op)
 
 
 def f3_map(op: Overpartition, k: int) -> SplitPair:
@@ -241,39 +311,7 @@ def f3_map(op: Overpartition, k: int) -> SplitPair:
         raise OverpartitionError(f"{op} is not {k}-regular with no 2's")
     if op.weight < 2:
         raise OverpartitionError("domain requires weight >= 2")
-    rest, r, s = _split_trailing_ones(op)
-    two = Overpartition(((2, False),))
-    two_over = Overpartition(((2, True),))
-    one_one = Overpartition(((1, False), (1, False)))
-    over1_one = Overpartition(((1, True), (1, False)))
-
-    if s >= 2:
-        return SplitPair(op.remove((1, False), (1, False)), two)
-    if s == 1 and r == 1:
-        return SplitPair(Overpartition(tuple(rest)), two_over)
-
-    size, over = rest[-1]
-    head = tuple(rest[:-1])
-    if s == 1 and r == 0:
-        left_tail = (
-            ((1, True),) + tuple(_ones(size - 2)) if over else tuple(_ones(size - 1))
-        )
-        # the lone plain 1 is also consumed
-        return SplitPair(Overpartition(head + left_tail), one_one)
-    if s == 0 and r == 0:
-        if (size, over) == (2, True):
-            return SplitPair(Overpartition(head), one_one)
-        if over:
-            return SplitPair(
-                Overpartition(head + ((1, True),) + tuple(_ones(size - 3))), over1_one
-            )
-        return SplitPair(Overpartition(head + tuple(_ones(size - 2))), over1_one)
-    # s == 0, r == 1
-    if over:
-        return SplitPair(
-            Overpartition(head + ((1, True),) + tuple(_ones(size - 2))), two_over
-        )
-    return SplitPair(Overpartition(head + tuple(_ones(size - 1))), two_over)
+    return _f3(op)
 
 
 def f1_map(op: Overpartition, k: int, a: int, b: int) -> SplitPair:
@@ -316,7 +354,7 @@ def f1_map(op: Overpartition, k: int, a: int, b: int) -> SplitPair:
 
     prefix = tuple(ps[: i - 1])
     suffix = tuple(ps[i:])
-    right_x = Overpartition(suffix + tuple(_ones(x)))
+    right_x = Overpartition(suffix + _PLAIN_ONE * x)
 
     def left(*extra: Part) -> Overpartition:
         return Overpartition(prefix + tuple(extra))
@@ -441,7 +479,9 @@ def _check_images(
     right_constraint: Constraint,
     a: int,
     b: int,
-) -> None:
+) -> dict:
+    """Record weight, codomain and collision violations of the images on
+    ``report``; return the images, keyed by (left parts, right parts)."""
     seen = {}
     injective = True
     codomain_ok = True
@@ -464,13 +504,14 @@ def _check_images(
         seen[key] = src
     report.injective = injective
     report.codomain_ok = codomain_ok
+    return seen
 
 
-def _f2_witness(k: int, a: int, images: set, notes: list[str]) -> Optional[str]:
+def _f2_witness(k: int, a: int, images: dict, notes: list[str]) -> Optional[str]:
     """An element (mu; 1~) with mu containing exactly one plain 1 below a
     larger part: never attained by f2.  None if no element has that shape,
     or if f2 attains one (which contradicts the construction; noted)."""
-    right = Overpartition(((1, True),))
+    right = ONE_OVER
     for mu in enumerate_overpartitions(a, Constraint(k_regular=k, forbid_twos=True)):
         if mu.count_plain(1) == 1 and not mu.has_overlined(1) and any(
             s > 1 for s, _ in mu.parts
@@ -482,10 +523,10 @@ def _f2_witness(k: int, a: int, images: set, notes: list[str]) -> Optional[str]:
     return None
 
 
-def _f3_witness(k: int, a: int, images: set, notes: list[str]) -> Optional[str]:
+def _f3_witness(k: int, a: int, images: dict, notes: list[str]) -> Optional[str]:
     """An element (mu; 1~,1) with mu free of size-1 parts: never attained by
     f3.  None if no element has that shape, or if f3 attains one (noted)."""
-    right = Overpartition(((1, True), (1, False)))
+    right = OVER1_ONE
     for mu in enumerate_overpartitions(a, Constraint(k_regular=k, forbid_twos=True)):
         if all(s > 1 for s, _ in mu.parts):
             if (mu.parts, right.parts) in images:
@@ -520,9 +561,8 @@ def verify_lemma(
         rhs = count_overpartitions(a + 1, no2)
         report = VerificationReport("2.2", k, a, 1, lhs, rhs, True, lhs > rhs)
         domain = enumerate_overpartitions(a + 1, no2)
-        pairs = [(op, f2_map(op, k)) for op in domain]
-        _check_images(report, pairs, no2, free, a, 1)
-        images = {(p.left.parts, p.right.parts) for _, p in pairs}
+        pairs = [(op, _f2(op)) for op in domain]
+        images = _check_images(report, pairs, no2, free, a, 1)
         report.unattained_witness = _f2_witness(k, a, images, report.notes)
         return report
 
@@ -534,9 +574,8 @@ def verify_lemma(
         rhs = count_overpartitions(a + 2, no2)
         report = VerificationReport("2.3", k, a, 2, lhs, rhs, True, lhs > rhs)
         domain = enumerate_overpartitions(a + 2, no2)
-        pairs = [(op, f3_map(op, k)) for op in domain]
-        _check_images(report, pairs, no2, free, a, 2)
-        images = {(p.left.parts, p.right.parts) for _, p in pairs}
+        pairs = [(op, _f3(op)) for op in domain]
+        images = _check_images(report, pairs, no2, free, a, 2)
         report.unattained_witness = _f3_witness(k, a, images, report.notes)
         return report
 

@@ -1,5 +1,7 @@
 """Enumeration oracle and injection checks for the splitting maps."""
 
+import itertools
+
 import pytest
 
 from regover.combinatorics import (
@@ -7,6 +9,8 @@ from regover.combinatorics import (
     Overpartition,
     OverpartitionError,
     UnsupportedCaseError,
+    _f2,
+    _f3,
     count_overpartitions,
     enumerate_overpartitions,
     f1_map,
@@ -16,6 +20,7 @@ from regover.combinatorics import (
 )
 from regover.qseries import pk
 
+from combinatorics_oracle import enumerate_overpartitions_oracle
 from conftest import lemma_holds, no_witness
 
 KS = list(range(2, 10))
@@ -63,6 +68,16 @@ class TestEnumeration:
         ops = enumerate_overpartitions(2, c)
         assert op((2, True)) in ops
         assert op((2, False)) not in ops
+
+    @pytest.mark.parametrize("no1,no2", itertools.product((False, True), repeat=2))
+    @pytest.mark.parametrize("k", [None, *KS])
+    def test_matches_oracle(self, k, no1, no2):
+        # element for element and in order, every constraint shape
+        constraint = Constraint(k, no1, no2)
+        for n in range(17):
+            ops = enumerate_overpartitions(n, constraint)
+            expected = enumerate_overpartitions_oracle(n, constraint)
+            assert [o.parts for o in ops] == [o.parts for o in expected], n
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_count_matches_enumeration(self, n):
@@ -173,6 +188,25 @@ class TestF3:
             assert (rep.unattained_witness is not None) == (
                 a not in missing
             ), rep.to_dict()
+
+
+class TestTrustedImages:
+    # f2/f3 build their images without sorting or validating; the validating
+    # constructor must leave every such image exactly as it is
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize(
+        "weight_shift,internal,public",
+        [(1, _f2, f2_map), (2, _f3, f3_map)],
+        ids=["f2", "f3"],
+    )
+    def test_images_canonical(self, k, weight_shift, internal, public):
+        no2 = Constraint(k_regular=k, forbid_twos=True)
+        for a in range(1, 15):
+            for o in enumerate_overpartitions(a + weight_shift, no2):
+                pair = internal(o)
+                for img in (pair.left, pair.right):
+                    assert Overpartition(img.parts).parts == img.parts, (o, img)
+                assert pair == public(o, k)
 
 
 class TestF1:
