@@ -40,11 +40,11 @@ EXIT_PRECISION = 3
 K_MIN, K_MAX = 2, 9
 
 # Resource ceilings.  Measured on a 2-core host (Python 3.11, pure-Python
-# mpmath): ``count --k 2..9 --n-max 50000 --output csv`` takes 12 s and
-# 244 MB, of which the eight tables are 4.6 s and 82 MB and the rest is row
-# formatting and CSV output; ``lemmas --id 2.3 --k 2..9 --a-max 26 --output
-# csv`` takes about 5 s and 59 MB, and each step of a multiplies its time by
-# about 1.4 and its memory by about 1.15.
+# mpmath): ``count --k 2..9 --n-max 50000 --output csv`` takes 6.2–6.6 s and
+# 107 MB, of which the eight tables are about 5.3 s and 81 MB and the rest is
+# one joined block of output per k; ``lemmas --id 2.3 --k 2..9 --a-max 26
+# --output csv`` takes about 5 s and 59 MB, and each step of a multiplies its
+# time by about 1.4 and its memory by about 1.15.
 N_MAX_CEILING = 50_000
 A_MAX_CEILING = 26
 
@@ -126,6 +126,42 @@ def _emit(rows: list[dict], output: str) -> None:
         click.echo("  ".join(v.ljust(w) for v, w in zip(line, widths)))
 
 
+def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
+    """Write ``count``'s rows for n in n_lo..n_hi straight from the tables.
+
+    The bytes are those :func:`_emit` gives for the rows
+    ``{"k": k, "n": n, "count": str(count)}``, but no row is built: each k's
+    rows go out as one joined block sliced from its memoized coefficients.
+    """
+    columns = {k: warm_cache(k, n_hi)[n_lo : n_hi + 1] for k in ks}
+    write = sys.stdout.write
+    if output == "csv":
+        write("k,n,count\n")
+        for k, counts in columns.items():
+            write("".join([f"{k},{n},{c}\n" for n, c in enumerate(counts, n_lo)]))
+    elif output == "json":
+        sep = "["
+        for k, counts in columns.items():
+            write(sep + ", ".join([
+                f'{{"k": {k}, "n": {n}, "count": "{c}"}}'
+                for n, c in enumerate(counts, n_lo)
+            ]))
+            sep = ", "
+        write("]\n")
+    else:
+        # str(c) is no shorter than str(d) for c >= d >= 0, so each column's
+        # widest cell is that of its largest value
+        wk = max(len("k"), len(str(ks[-1])))
+        wn = max(len("n"), len(str(n_hi)))
+        wc = max(len("count"), *(len(str(max(c))) for c in columns.values()))
+        write(f"{'k':<{wk}}  {'n':<{wn}}  {'count':<{wc}}\n")
+        for k, counts in columns.items():
+            key = f"{k:<{wk}}  "
+            write("".join([
+                f"{key}{n:<{wn}}  {c:<{wc}}\n" for n, c in enumerate(counts, n_lo)
+            ]))
+
+
 _OUTPUT = click.option(
     "--output",
     type=click.Choice(["table", "csv", "json"]),
@@ -171,14 +207,11 @@ def count(k_spec: str, n_single: int | None, n_max: int | None, output: str) -> 
         _check_ceiling("n", n_single, N_MAX_CEILING)
     else:
         _check_ceiling("n-max", n_max, N_MAX_CEILING)
-    ns = [n_single] if n_single is not None else list(range(n_max + 1))
-    if output == "table" and len(ks) == 1 and len(ns) == 1:
-        click.echo(str(pk(ks[0], ns[0])))
+    n_lo, n_hi = (0, n_max) if n_single is None else (n_single, n_single)
+    if output == "table" and len(ks) == 1 and n_lo == n_hi:
+        click.echo(str(pk(ks[0], n_hi)))
         return
-    for k in ks:
-        warm_cache(k, max(ns))
-    rows = [{"k": k, "n": n, "count": str(pk(k, n))} for k in ks for n in ns]
-    _emit(rows, output)
+    _write_counts(ks, n_lo, n_hi, output)
 
 
 _DEFAULT_QBOUND_HORIZONS = {2: 8000, 8: 12000}

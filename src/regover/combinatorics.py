@@ -98,12 +98,6 @@ class Overpartition:
     def has_overlined(self, size: int) -> bool:
         return (size, True) in self.parts
 
-    def remove(self, *removed: Part) -> "Overpartition":
-        parts = list(self.parts)
-        for p in removed:
-            parts.remove(p)  # raises ValueError if absent
-        return Overpartition._trusted(tuple(parts))
-
     def __str__(self) -> str:
         return (
             "("

@@ -145,6 +145,10 @@ def pk(k: int, n: int) -> int:
     return cached.coeffs[n]
 
 
-def warm_cache(k: int, order: int) -> None:
-    """Grow the memoized series for ``k`` to at least ``order`` in one pass."""
+def warm_cache(k: int, order: int) -> tuple[int, ...]:
+    """Grow the memoized series for ``k`` to at least ``order`` in one pass.
+
+    Returns the memoized coefficient tuple, which may run past ``order``.
+    """
     pk(k, order)
+    return _CACHE[k].coeffs

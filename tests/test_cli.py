@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from regover import chern, cli
 from regover.cli import A_MAX_CEILING, N_MAX_CEILING, main
 from regover.numerics import Interval
-from regover.qseries import pk
+from regover.qseries import pk, warm_cache
 
 from conftest import SUBADD_COUNTEREXAMPLES
 
@@ -23,6 +23,24 @@ def runner():
 
 def rows_from_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def reference_count(ks, ns, output):
+    """count's stdout rendered the slow way: one pk() call and dict per row."""
+    rows = [{"k": k, "n": n, "count": str(pk(k, n))} for k in ks for n in ns]
+    if output == "table" and len(rows) == 1:
+        return rows[0]["count"] + "\n"  # a single cell prints bare
+    if output == "json":
+        return json.dumps(rows) + "\n"
+    lines = [list(rows[0])] + [[str(v) for v in row.values()] for row in rows]
+    if output == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(lines)
+        return buf.getvalue()
+    widths = [max(len(line[i]) for line in lines) for i in range(len(lines[0]))]
+    return "".join(
+        "  ".join(v.ljust(w) for v, w in zip(line, widths)) + "\n" for line in lines
+    )
 
 
 class TestCount:
@@ -64,6 +82,42 @@ class TestCount:
             main, ["count", "--k", "2", "--n", "3", "--n-max", "5"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("output", ["csv", "json", "table"])
+    @pytest.mark.parametrize(
+        "args, ks, ns",
+        [
+            # table widths change as the counts gain digits
+            (["--k", "2..9", "--n-max", "300"], range(2, 10), range(301)),
+            (["--k", "5", "--n-max", "0"], [5], [0]),
+            (["--k", "2..3", "--n", "7"], [2, 3], [7]),
+        ],
+        ids=["k2-9-n300", "k5-n0", "k2-3-n7"],
+    )
+    def test_rows_match_reference_renderer(self, runner, args, ks, ns, output):
+        result = runner.invoke(main, ["count", *args, "--output", output])
+        assert result.exit_code == 0
+        got, want = result.stdout, reference_count(ks, ns, output)
+        # report the first differing character: pytest's diff of two long
+        # one-line JSON strings takes minutes
+        at = next(
+            (i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+            min(len(got), len(want)),
+        )
+        near = slice(max(at - 40, 0), at + 40)
+        assert len(got) == len(want) == at, (at, got[near], want[near])
+
+    def test_n_max_stops_short_of_a_longer_table(self, runner):
+        assert len(warm_cache(3, 1000)) > 11
+        for output, lines in (("csv", 12), ("table", 12), ("json", 1)):
+            result = runner.invoke(
+                main, ["count", "--k", "3", "--n-max", "10", "--output", output]
+            )
+            assert result.exit_code == 0
+            assert result.stdout.count("\n") == lines, output
+        data = json.loads(result.stdout)
+        assert [d["n"] for d in data] == list(range(11))
+        assert data[-1]["count"] == str(pk(3, 10))
 
     def test_deterministic(self, runner):
         args = ["count", "--k", "2..4", "--n-max", "20", "--output", "csv"]
