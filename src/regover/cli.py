@@ -11,6 +11,14 @@ Exit codes: 0 = all checks verified, 1 = counterexample found,
 Inputs that would exhaust time or memory fail early with exit 2:
 ``count --n``/``--n-max`` and ``asym --n-max`` above :data:`N_MAX_CEILING`,
 and ``lemmas --a-max`` above :data:`A_MAX_CEILING`, before any table is built.
+
+Imports: this module loads only click and :mod:`regover.qseries` at import
+time.  Each subcommand imports the layers it runs, and the exceptions it
+catches, inside its own body, so a process pays only for what it runs:
+``count`` needs nothing more, ``lemmas`` loads :mod:`regover.combinatorics`,
+``verify`` :mod:`regover.inequalities` and :mod:`regover.numerics`, and
+``asym`` :mod:`regover.chern` and :mod:`regover.numerics` (mpmath comes in
+with :mod:`regover.numerics`).  Keep new layer imports inside the commands.
 """
 
 from __future__ import annotations
@@ -21,17 +29,6 @@ import sys
 
 import click
 
-from .chern import ChernError, estimate
-from .combinatorics import OverpartitionError, verify_lemma
-from .inequalities import (
-    InequalityError,
-    LOGCONCAVE_THRESHOLDS,
-    QBOUND_THRESHOLDS,
-    TURAN3_THRESHOLDS,
-    scan_thresholds,
-    verify_q_containment,
-)
-from .numerics import NumericsError, PrecisionExhausted, default_precision
 from .qseries import pk, warm_cache
 
 EXIT_COUNTEREXAMPLE = 1
@@ -76,6 +73,8 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _resolve_precision(precision: int | None) -> int:
+    from .numerics import NumericsError, default_precision
+
     if precision is None:
         try:
             return default_precision()
@@ -218,6 +217,8 @@ _DEFAULT_QBOUND_HORIZONS = {2: 8000, 8: 12000}
 
 
 def _default_horizon(prop: str, k: int) -> int:
+    from .inequalities import QBOUND_THRESHOLDS
+
     if prop == "qbounds":
         base = _DEFAULT_QBOUND_HORIZONS.get(k, 2000)
         return max(base, QBOUND_THRESHOLDS[k] + 500)
@@ -252,6 +253,14 @@ def verify(
     report per k; qbounds certifies L(n) < Q_k(n) < R(n) with interval
     arithmetic and emits one verdict row per n.
     """
+    from .inequalities import (
+        QBOUND_THRESHOLDS,
+        InequalityError,
+        scan_thresholds,
+        verify_q_containment,
+    )
+    from .numerics import NumericsError, PrecisionExhausted
+
     ks = _parse_k_range(k_spec)
     precision = _resolve_precision(precision)
     failed = False
@@ -329,6 +338,9 @@ def asym(
     Rows below the bracket's validity threshold carry "n/a" in the
     remainder, containment, and relative-width columns.
     """
+    from .chern import ChernError, estimate
+    from .numerics import NumericsError, PrecisionExhausted
+
     ks = _parse_k_range(k_spec)
     precision = _resolve_precision(precision)
     if n_min < 0 or n_max < n_min or step < 1:
@@ -393,6 +405,8 @@ def lemmas(
 ) -> None:
     """Exhaustive splitting-lemma verification over a grid; exit 0 iff
     every grid point holds (and is injective where a map is checked)."""
+    from .combinatorics import OverpartitionError, verify_lemma
+
     ks = _parse_k_range(k_spec)
     if a_max < 1 or total_max < 2:
         raise click.UsageError("need a-max >= 1 and total-max >= 2")

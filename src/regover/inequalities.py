@@ -58,6 +58,27 @@ _QB_TABLE: dict[int, tuple[int, int, int, int, Fraction]] = {
 }
 
 
+# The exact inequalities on coefficient values, shared by the per-index
+# checks and by scan_thresholds, which reads the cached tables directly.
+
+
+def _subadditive(pa: int, pb: int, pab: int) -> bool:
+    """Strict log-subadditivity p(a) p(b) > p(a+b)."""
+    return pa * pb > pab
+
+
+def _logconcave_sign(p0: int, p1: int, p2: int) -> int:
+    """Sign of p(n)^2 - p(n-1) p(n+1): 1, 0 (equality) or -1 (failure)."""
+    lhs = p1 * p1
+    rhs = p0 * p2
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _turan3(a0: int, a1: int, a2: int, a3: int) -> bool:
+    """Strict third-order Turan inequality on four consecutive values."""
+    return 4 * (a1 * a1 - a0 * a2) * (a2 * a2 - a1 * a3) > (a1 * a2 - a0 * a3) ** 2
+
+
 def check_subadditivity(k: int, a: int, b: int) -> bool:
     """Exact strict log-subadditivity p(a) p(b) > p(a+b)."""
     if k < 2:
@@ -66,7 +87,7 @@ def check_subadditivity(k: int, a: int, b: int) -> bool:
         raise InequalityError(f"need a >= b >= 1, got a={a}, b={b}")
     if a + b < k:
         raise InequalityError(f"need a + b >= k, got {a}+{b} < {k}")
-    return pk(k, a) * pk(k, b) > pk(k, a + b)
+    return _subadditive(pk(k, a), pk(k, b), pk(k, a + b))
 
 
 @dataclass(frozen=True)
@@ -93,24 +114,22 @@ def check_logconcave(k: int, n: int, strict: bool = True) -> bool:
     """
     if n < 1:
         raise InequalityError(f"n must be >= 1, got {n}")
-    lhs = pk(k, n) ** 2
-    rhs = pk(k, n - 1) * pk(k, n + 1)
-    return lhs > rhs if strict else lhs >= rhs
+    sign = _logconcave_sign(pk(k, n - 1), pk(k, n), pk(k, n + 1))
+    return sign > 0 if strict else sign >= 0
 
 
 def logconcave_equality(k: int, n: int) -> bool:
     """True iff p(n)^2 equals p(n-1) p(n+1) exactly."""
     if n < 1:
         raise InequalityError(f"n must be >= 1, got {n}")
-    return pk(k, n) ** 2 == pk(k, n - 1) * pk(k, n + 1)
+    return _logconcave_sign(pk(k, n - 1), pk(k, n), pk(k, n + 1)) == 0
 
 
 def check_turan3(k: int, n: int) -> bool:
     """Exact strict third-order Turan inequality at index n."""
     if n < 1:
         raise InequalityError(f"n must be >= 1, got {n}")
-    a0, a1, a2, a3 = (pk(k, n - 1), pk(k, n), pk(k, n + 1), pk(k, n + 2))
-    return 4 * (a1 * a1 - a0 * a2) * (a2 * a2 - a1 * a3) > (a1 * a2 - a0 * a3) ** 2
+    return _turan3(pk(k, n - 1), pk(k, n), pk(k, n + 1), pk(k, n + 2))
 
 
 def q_bounds(
@@ -207,13 +226,13 @@ def scan_thresholds(k: int, property: str, horizon: int) -> ThresholdReport:
     if property == "subadd":
         if horizon < k:
             raise InequalityError(f"horizon {horizon} below minimal total {k}")
-        warm_cache(k, horizon)
-        exceptions = []
-        for total in range(k, horizon + 1):
-            for b in range(1, total // 2 + 1):
-                a = total - b
-                if not check_subadditivity(k, a, b):
-                    exceptions.append((a, b))
+        c = warm_cache(k, horizon)
+        exceptions = [
+            (total - b, b)
+            for total in range(k, horizon + 1)
+            for b in range(1, total // 2 + 1)
+            if not _subadditive(c[total - b], c[b], c[total])
+        ]
         observed = max((a + b for a, b in exceptions), default=k - 1) + 1
         return ThresholdReport(
             k, property, k, observed, horizon, tuple(exceptions)
@@ -226,18 +245,19 @@ def scan_thresholds(k: int, property: str, horizon: int) -> ThresholdReport:
         raise InequalityError(
             f"horizon {horizon} below published threshold {paper} for k={k}"
         )
-    warm_cache(k, horizon + 2)
-    equalities: tuple = ()
+    c = warm_cache(k, horizon + 2)
+    equalities = []
     if property == "logconcave":
-        failures = [
-            n for n in range(1, horizon + 1) if not check_logconcave(k, n, strict=False)
-        ]
-        equalities = tuple(
-            n for n in range(1, horizon + 1) if logconcave_equality(k, n)
-        )
+        failures = []
+        for n in range(1, horizon + 1):
+            sign = _logconcave_sign(c[n - 1], c[n], c[n + 1])
+            if sign < 0:
+                failures.append(n)
+            elif sign == 0:
+                equalities.append(n)
     else:
-        failures = [n for n in range(1, horizon + 1) if not check_turan3(k, n)]
+        failures = [n for n in range(1, horizon + 1) if not _turan3(*c[n - 1 : n + 3])]
     observed = (failures[-1] + 1) if failures else 1
     return ThresholdReport(
-        k, property, paper, observed, horizon, tuple(failures), equalities
+        k, property, paper, observed, horizon, tuple(failures), tuple(equalities)
     )

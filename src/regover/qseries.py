@@ -48,9 +48,13 @@ class IntegerSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) == 0:
+        coeffs = self.coeffs
+        if len(coeffs) == 0:
             raise SeriesError("series needs at least a constant term")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        # a tuple of Python ints (every table pk_series builds) is kept as is;
+        # anything else is copied into one
+        if type(coeffs) is not tuple or not set(map(type, coeffs)) <= {int}:
+            object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
 
     @property
     def order(self) -> int:

@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from regover import chern, cli
+from regover import chern, cli, combinatorics
 from regover.cli import A_MAX_CEILING, N_MAX_CEILING, main
 from regover.numerics import Interval
 from regover.qseries import pk, warm_cache
@@ -364,8 +368,15 @@ class TestResourceCeilings:
         def no_work(*_args, **_kwargs):
             raise AssertionError("work started above the resource ceiling")
 
-        for name in ("warm_cache", "pk", "estimate", "verify_lemma"):
-            monkeypatch.setattr(cli, name, no_work)
+        # the subcommands look estimate and verify_lemma up on their home
+        # modules when they run
+        for module, name in [
+            (cli, "warm_cache"),
+            (cli, "pk"),
+            (chern, "estimate"),
+            (combinatorics, "verify_lemma"),
+        ]:
+            monkeypatch.setattr(module, name, no_work)
         started = time.monotonic()
         result = runner.invoke(main, args)
         assert time.monotonic() - started < 1
@@ -376,3 +387,45 @@ class TestResourceCeilings:
         # the benchmark's largest count --n-max (8000) and the lemmas default
         # --a-max (20, criterion 3's range) must stay accepted
         assert N_MAX_CEILING >= 8000 and A_MAX_CEILING >= 20
+
+
+class TestImportFootprint:
+    # each subcommand imports only the layers it runs; a layer imported at the
+    # top of cli.py would put its import time back on every CLI process
+    PROBE = (
+        "import json, sys\n"
+        "from regover import cli\n"
+        "cli.main(json.loads(sys.argv[1]), standalone_mode=False)\n"
+        "absent = json.loads(sys.argv[2])\n"
+        "sys.stderr.write(json.dumps([m for m in absent if m in sys.modules]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "args, absent",
+        [
+            (
+                ["count", "--k", "2", "--n", "10"],
+                ["mpmath", "regover.numerics", "regover.chern",
+                 "regover.combinatorics", "regover.inequalities"],
+            ),
+            (
+                ["lemmas", "--id", "2.2", "--k", "3", "--a-max", "3"],
+                ["mpmath", "regover.chern"],
+            ),
+            (
+                ["verify", "turan3", "--k", "3", "--horizon", "40"],
+                ["regover.chern", "regover.combinatorics"],
+            ),
+        ],
+        ids=["count", "lemmas", "verify"],
+    )
+    def test_subcommand_leaves_other_layers_unimported(self, args, absent):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, json.dumps(args), json.dumps(absent)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr) == []

@@ -285,3 +285,40 @@ class TestScan:
         assert d["k"] == 3 and d["property"] == "logconcave"
         assert d["equalities"] == [1, 6]
         assert isinstance(d["exceptions_below"], list)
+
+
+def point_by_point_report(k, prop, horizon):
+    """scan_thresholds' report rebuilt from the per-index public checks."""
+    if prop == "subadd":
+        bad = tuple(
+            (total - b, b)
+            for total in range(k, horizon + 1)
+            for b in range(1, total // 2 + 1)
+            if not check_subadditivity(k, total - b, b)
+        )
+        observed = max((a + b for a, b in bad), default=k - 1) + 1
+        return ThresholdReport(k, prop, k, observed, horizon, bad)
+    ns = range(1, horizon + 1)
+    if prop == "logconcave":
+        paper = LOGCONCAVE_THRESHOLDS[k]
+        bad = tuple(n for n in ns if not check_logconcave(k, n, strict=False))
+        equalities = tuple(n for n in ns if logconcave_equality(k, n))
+    else:
+        paper = TURAN3_THRESHOLDS[k]
+        bad = tuple(n for n in ns if not check_turan3(k, n))
+        equalities = ()
+    observed = bad[-1] + 1 if bad else 1
+    return ThresholdReport(k, prop, paper, observed, horizon, bad, equalities)
+
+
+class TestScanMatchesPointChecks:
+    # the scan reads the cached tables directly; the public checks go through
+    # pk() one index at a time, and both must give the same report
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize(
+        "prop, horizon", [("logconcave", 3000), ("turan3", 1500), ("subadd", 200)]
+    )
+    def test_report_equal(self, prop, horizon, k):
+        assert scan_thresholds(k, prop, horizon) == point_by_point_report(
+            k, prop, horizon
+        )

@@ -89,6 +89,25 @@ class TestEulerSeries:
             euler_series(1, -1)
 
 
+class TestIntegerSeries:
+    def test_tuple_of_ints_is_kept(self):
+        coeffs = (1, -2, 3)
+        assert IntegerSeries(coeffs).coeffs is coeffs
+
+    @pytest.mark.parametrize(
+        "raw", [[1, -2, 3], (True, -2, 3), (1.0, -2, 3)], ids=["list", "bool", "float"]
+    )
+    def test_other_input_becomes_a_tuple_of_ints(self, raw):
+        coeffs = IntegerSeries(raw).coeffs
+        assert coeffs == (1, -2, 3)
+        assert type(coeffs) is tuple and all(type(c) is int for c in coeffs)
+
+    @pytest.mark.parametrize("raw", [(), []], ids=["tuple", "list"])
+    def test_empty_rejected(self, raw):
+        with pytest.raises(SeriesError):
+            IntegerSeries(raw)
+
+
 class TestMulInvert:
     def test_difference_of_squares_truncated(self):
         out = series_mul(IntegerSeries((1, 1)), IntegerSeries((1, -1)))
