@@ -18,7 +18,6 @@ brackets rely exclusively on the printed main-term/remainder tables.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -320,9 +319,6 @@ class AsymptoticEstimate:
             "exact": str(self.exact),
             "inside": "n/a" if self.inside is None else str(self.inside).lower(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_row())
 
 
 def estimate(k: int, n: int, precision: Optional[int] = None) -> AsymptoticEstimate:

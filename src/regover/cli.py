@@ -8,9 +8,12 @@ given configuration (stable row ordering, no timestamps).
 Exit codes: 0 = all checks verified, 1 = counterexample found,
 2 = usage or configuration error, 3 = precision exhaustion.
 
-Inputs that would exhaust time or memory fail early with exit 2:
-``count --n``/``--n-max`` and ``asym --n-max`` above :data:`N_MAX_CEILING`,
-and ``lemmas --a-max`` above :data:`A_MAX_CEILING`, before any table is built.
+Inputs that would exhaust time or memory fail early with exit 2, before
+any table is built: ``count --n``/``--n-max``, ``asym --n-max`` and
+``verify --horizon`` above :data:`N_MAX_CEILING` (``verify subadd --horizon``
+above :data:`SUBADD_HORIZON_CEILING`), ``lemmas --a-max`` above
+:data:`A_MAX_CEILING` and ``lemmas --total-max`` above
+:data:`TOTAL_MAX_CEILING`.
 
 Imports: this module loads only click and :mod:`regover.qseries` at import
 time.  Each subcommand imports the layers it runs, and the exceptions it
@@ -37,13 +40,23 @@ EXIT_PRECISION = 3
 K_MIN, K_MAX = 2, 9
 
 # Resource ceilings.  Measured on a 2-core host (Python 3.11, pure-Python
-# mpmath): ``count --k 2..9 --n-max 50000 --output csv`` takes 6.2–6.6 s and
-# 107 MB, of which the eight tables are about 5.3 s and 81 MB and the rest is
-# one joined block of output per k; ``lemmas --id 2.3 --k 2..9 --a-max 26
-# --output csv`` takes about 5 s and 59 MB, and each step of a multiplies its
-# time by about 1.4 and its memory by about 1.15.
+# mpmath), all with ``--k 2..9 --output csv``:
+#   * ``count --n-max 50000`` takes 6.2–6.6 s and 107 MB, of which the eight
+#     tables are about 5.3 s and 81 MB and the rest is one joined block of
+#     output per k.
+#   * ``verify logconcave --horizon 50000`` takes 7.4 s and 87 MB, ``verify
+#     turan3`` 10.3 s and 87 MB; ``verify qbounds`` certifies about 2 500
+#     rows per second, so its full range runs for minutes but in flat memory.
+#   * ``verify subadd`` checks about horizon²/4 pairs per k: horizon 2000
+#     takes 2.4 s and 3000 takes 4.9 s, both in 23 MB.
+#   * ``lemmas --id 2.3 --a-max 26`` takes about 5 s and 59 MB, and each step
+#     of a multiplies its time by about 1.4 and its memory by about 1.15.
+#   * ``lemmas --id 2.1 --total-max 20`` takes 5.8 s and 22 takes 10.6 s,
+#     both in 21 MB; each step of total-max multiplies the time by about 1.35.
 N_MAX_CEILING = 50_000
+SUBADD_HORIZON_CEILING = 3_000
 A_MAX_CEILING = 26
+TOTAL_MAX_CEILING = 22
 
 
 def _check_ceiling(name: str, value: int, ceiling: int) -> None:
@@ -262,6 +275,9 @@ def verify(
     from .numerics import NumericsError, PrecisionExhausted
 
     ks = _parse_k_range(k_spec)
+    if horizon is not None:
+        ceiling = SUBADD_HORIZON_CEILING if property == "subadd" else N_MAX_CEILING
+        _check_ceiling("horizon", horizon, ceiling)
     precision = _resolve_precision(precision)
     failed = False
     try:
@@ -405,31 +421,19 @@ def lemmas(
 ) -> None:
     """Exhaustive splitting-lemma verification over a grid; exit 0 iff
     every grid point holds (and is injective where a map is checked)."""
-    from .combinatorics import OverpartitionError, verify_lemma
+    from .combinatorics import OverpartitionError, lemma_grid, verify_lemma
 
     ks = _parse_k_range(k_spec)
     if a_max < 1 or total_max < 2:
         raise click.UsageError("need a-max >= 1 and total-max >= 2")
     _check_ceiling("a-max", a_max, A_MAX_CEILING)
-    grid: list[tuple[int, int, int | None]] = []
-    for k in ks:
-        if lemma_id in ("2.2", "2.3"):
-            grid.extend((k, a, None) for a in range(1, a_max + 1))
-        elif lemma_id == "2.1":
-            grid.extend(
-                (k, a, b)
-                for a in range(1, total_max)
-                for b in range(1, total_max + 1 - a)
-            )
-        else:  # 2.4: b >= 3, a + b >= k + 1
-            grid.extend(
-                (k, a, b)
-                for a in range(1, total_max - 2)
-                for b in range(3, total_max + 1 - a)
-                if a + b >= k + 1
-            )
+    _check_ceiling("total-max", total_max, TOTAL_MAX_CEILING)
     try:
-        reports = [verify_lemma(lemma_id, k, a, b) for k, a, b in grid]
+        reports = [
+            verify_lemma(lemma_id, k, a, b)
+            for k in ks
+            for a, b in lemma_grid(lemma_id, k, a_max, total_max)
+        ]
     except OverpartitionError as exc:
         raise click.UsageError(str(exc))
     if any(rep.mode != "map" for rep in reports):

@@ -30,21 +30,25 @@ order, each new largest size prepended as one block; cf. Knuth, TAOCP 4A,
 neither sorts nor validates.  The internal bodies ``_f2`` and ``_f3`` build
 their images the same way, since dropping trailing parts of a canonical
 tuple, or replacing its last part of size >= 2 by 1's, keeps it canonical.
-The public ``f2_map``/``f3_map`` check their preconditions before
-delegating to them; ``f1_map``, whose extra parts are not provably
-canonical, keeps the validating constructor.  Trusting construction skips no verification:
+The public ``f2_map``/``f3_map`` are the bodies behind one shared
+precondition check (k-regular, no plain 2, least weight 1 resp. 2);
+``f1_map``, whose extra parts are not provably canonical, keeps the
+validating constructor.  Trusting construction skips no verification:
 :func:`verify_lemma` still checks every image's weight, codomain membership
 and distinctness, and :func:`count_overpartitions` recounts every domain
 independently.
+
+Each lemma is declared once: ``_SINGLE_SIDED`` gives the fixed b, map body
+and witness shape of lemmas 2.2/2.3, and one predicate gives lemma 2.4's
+range to both :func:`verify_lemma` and :func:`lemma_grid`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 
 class OverpartitionError(ValueError):
@@ -90,13 +94,6 @@ class Overpartition:
     @property
     def weight(self) -> int:
         return sum(map(itemgetter(0), self.parts))
-
-    def count_plain(self, size: int) -> int:
-        """Number of non-overlined copies of ``size``."""
-        return sum(1 for s, o in self.parts if s == size and not o)
-
-    def has_overlined(self, size: int) -> bool:
-        return (size, True) in self.parts
 
     def __str__(self) -> str:
         return (
@@ -288,24 +285,73 @@ def _f3(op: Overpartition) -> SplitPair:
     return SplitPair(trusted(head + _as_ones(over, size - 1)), TWO_OVER)
 
 
+def _check_no_plain_two(op: Overpartition, k: int, min_weight: int) -> None:
+    """Reject ``op`` unless it is k-regular, has no plain 2 and weight >= min_weight."""
+    if not Constraint(k_regular=k, forbid_twos=True).satisfied_by(op):
+        raise OverpartitionError(f"{op} is not {k}-regular with no 2's")
+    if op.weight < min_weight:
+        raise OverpartitionError(f"domain requires weight >= {min_weight}")
+
+
 def f2_map(op: Overpartition, k: int) -> SplitPair:
     """Split an overpartition of a+1 with no plain 2's into (weight a, weight 1)."""
-    c = Constraint(k_regular=k, forbid_twos=True)
-    if not c.satisfied_by(op):
-        raise OverpartitionError(f"{op} is not {k}-regular with no 2's")
-    if op.weight < 1:
-        raise OverpartitionError("domain requires positive weight")
+    _check_no_plain_two(op, k, 1)
     return _f2(op)
 
 
 def f3_map(op: Overpartition, k: int) -> SplitPair:
     """Split an overpartition of a+2 with no plain 2's into (weight a, weight 2)."""
-    c = Constraint(k_regular=k, forbid_twos=True)
-    if not c.satisfied_by(op):
-        raise OverpartitionError(f"{op} is not {k}-regular with no 2's")
-    if op.weight < 2:
-        raise OverpartitionError("domain requires weight >= 2")
+    _check_no_plain_two(op, k, 2)
     return _f3(op)
+
+
+class _SingleSided(NamedTuple):
+    """A lemma that splits off a fixed right weight ``b`` with ``split``.
+
+    Its stated witness is the first codomain element (mu; right) whose mu,
+    as ``_split_trailing_ones`` gives (rest, r, s), has ``shape``.
+    """
+
+    b: int
+    split: Callable[[Overpartition], SplitPair]
+    right: Overpartition
+    shape: Callable[[tuple[Part, ...], int, int], bool]
+
+
+_SINGLE_SIDED = {
+    # (mu; 1~), mu with one plain 1 below a larger part and no overlined 1
+    "2.2": _SingleSided(
+        1, _f2, ONE_OVER, lambda rest, r, s: r == 0 and s == 1 and bool(rest)
+    ),
+    # (mu; 1~,1), mu free of size-1 parts
+    "2.3": _SingleSided(2, _f3, OVER1_ONE, lambda rest, r, s: r == s == 0),
+}
+_TWO_SIDED = ("2.1", "2.4")
+
+
+def _in_lemma24_range(k: int, a: int, b: int) -> bool:
+    return b >= 3 and a + b >= k + 1
+
+
+def lemma_grid(
+    lemma_id: str, k: int, a_max: int, total_max: int
+) -> Iterator[tuple[int, int]]:
+    """Yield the (a, b) points of one k's lemma sweep, in sweep order.
+
+    Lemmas 2.2/2.3 run a = 1..a_max at their fixed b.  Lemmas 2.1/2.4 run
+    every a, b >= 1 with a + b <= total_max, lemma 2.4 only inside its range.
+    """
+    single = _SINGLE_SIDED.get(lemma_id)
+    if single is not None:
+        for a in range(1, a_max + 1):
+            yield a, single.b
+        return
+    if lemma_id not in _TWO_SIDED:
+        raise OverpartitionError(f"unknown lemma id {lemma_id!r}")
+    for a in range(1, total_max):
+        for b in range(1, total_max + 1 - a):
+            if lemma_id == "2.1" or _in_lemma24_range(k, a, b):
+                yield a, b
 
 
 def f1_map(op: Overpartition, k: int, a: int, b: int) -> SplitPair:
@@ -445,25 +491,7 @@ class VerificationReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "k": self.k,
-            "a": self.a,
-            "b": self.b,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "strict": self.strict,
-            "holds": self.holds,
-            "injective": self.injective,
-            "codomain_ok": self.codomain_ok,
-            "unattained_witness": self.unattained_witness,
-            "mode": self.mode,
-            "unsupported": self.unsupported,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return asdict(self)
 
 
 def _check_images(
@@ -501,28 +529,15 @@ def _check_images(
     return seen
 
 
-def _f2_witness(k: int, a: int, images: dict, notes: list[str]) -> Optional[str]:
-    """An element (mu; 1~) with mu containing exactly one plain 1 below a
-    larger part: never attained by f2.  None if no element has that shape,
-    or if f2 attains one (which contradicts the construction; noted)."""
-    right = ONE_OVER
-    for mu in enumerate_overpartitions(a, Constraint(k_regular=k, forbid_twos=True)):
-        if mu.count_plain(1) == 1 and not mu.has_overlined(1) and any(
-            s > 1 for s, _ in mu.parts
-        ):
-            if (mu.parts, right.parts) in images:
-                notes.append(f"stated witness attained: ({mu}; {right})")
-                return None
-            return f"({mu}; {right})"
-    return None
-
-
-def _f3_witness(k: int, a: int, images: dict, notes: list[str]) -> Optional[str]:
-    """An element (mu; 1~,1) with mu free of size-1 parts: never attained by
-    f3.  None if no element has that shape, or if f3 attains one (noted)."""
-    right = OVER1_ONE
-    for mu in enumerate_overpartitions(a, Constraint(k_regular=k, forbid_twos=True)):
-        if all(s > 1 for s, _ in mu.parts):
+def _witness(
+    single: _SingleSided, a: int, no2: Constraint, images: dict, notes: list[str]
+) -> Optional[str]:
+    """The first element (mu; right) of the stated shape: never attained by
+    the map.  None if no element has that shape, or if the map attains one
+    (which contradicts the construction; noted)."""
+    right = single.right
+    for mu in enumerate_overpartitions(a, no2):
+        if single.shape(*_split_trailing_ones(mu.parts)):
             if (mu.parts, right.parts) in images:
                 notes.append(f"stated witness attained: ({mu}; {right})")
                 return None
@@ -537,73 +552,59 @@ def verify_lemma(
 
     lemma_id is one of "2.1", "2.2", "2.3", "2.4".  For "2.2"/"2.3" the
     right weight is fixed (1 resp. 2) and ``b`` may be omitted.
+
+    Lemma 2.1 compares no-plain-1 x no-plain-2 pairs with no-plain-1-or-2
+    overpartitions of a+b (weakly), every other lemma no-plain-2 x free pairs
+    with no-plain-2 overpartitions of a+b (strictly).  Lemma 2.1 is checked
+    through ``f1_map`` for k >= 5, lemmas 2.2/2.3 through their map and
+    witness, and the rest by cardinality.
     """
     if k < 2:
         raise OverpartitionError(f"k must be >= 2, got {k}")
     if a < 1:
         raise OverpartitionError(f"a must be >= 1, got {a}")
-    no2 = Constraint(k_regular=k, forbid_twos=True)
-    no1 = Constraint(k_regular=k, forbid_ones=True)
-    no12 = Constraint(k_regular=k, forbid_ones=True, forbid_twos=True)
-    free = Constraint(k_regular=k)
-
-    if lemma_id == "2.2":
-        b = 1 if b is None else b
-        if b != 1:
-            raise OverpartitionError("lemma 2.2 fixes b = 1")
-        lhs = count_overpartitions(a, no2) * count_overpartitions(1, free)
-        rhs = count_overpartitions(a + 1, no2)
-        report = VerificationReport("2.2", k, a, 1, lhs, rhs, True, lhs > rhs)
-        domain = enumerate_overpartitions(a + 1, no2)
-        pairs = [(op, _f2(op)) for op in domain]
-        images = _check_images(report, pairs, no2, free, a, 1)
-        report.unattained_witness = _f2_witness(k, a, images, report.notes)
-        return report
-
-    if lemma_id == "2.3":
-        b = 2 if b is None else b
-        if b != 2:
-            raise OverpartitionError("lemma 2.3 fixes b = 2")
-        lhs = count_overpartitions(a, no2) * count_overpartitions(2, free)
-        rhs = count_overpartitions(a + 2, no2)
-        report = VerificationReport("2.3", k, a, 2, lhs, rhs, True, lhs > rhs)
-        domain = enumerate_overpartitions(a + 2, no2)
-        pairs = [(op, _f3(op)) for op in domain]
-        images = _check_images(report, pairs, no2, free, a, 2)
-        report.unattained_witness = _f3_witness(k, a, images, report.notes)
-        return report
-
-    if b is None:
+    single = _SINGLE_SIDED.get(lemma_id)
+    if single is not None:
+        b = single.b if b is None else b
+        if b != single.b:
+            raise OverpartitionError(f"lemma {lemma_id} fixes b = {single.b}")
+    elif lemma_id not in _TWO_SIDED:
+        raise OverpartitionError(f"unknown lemma id {lemma_id!r}")
+    elif b is None:
         raise OverpartitionError(f"lemma {lemma_id} needs explicit b")
-    if b < 1:
+    elif b < 1:
         raise OverpartitionError(f"b must be >= 1, got {b}")
+    elif lemma_id == "2.4" and not _in_lemma24_range(k, a, b):
+        raise OverpartitionError("lemma 2.4 needs b >= 3 and a+b >= k+1")
 
+    no2 = Constraint(k_regular=k, forbid_twos=True)
     if lemma_id == "2.1":
-        lhs = count_overpartitions(a, no1) * count_overpartitions(b, no2)
-        rhs = count_overpartitions(a + b, no12)
-        report = VerificationReport("2.1", k, a, b, lhs, rhs, False, lhs >= rhs)
-        if k in (2, 3, 4):
-            report.mode = "cardinality"
-            return report
-        domain = enumerate_overpartitions(a + b, no12)
+        left = Constraint(k_regular=k, forbid_ones=True)
+        right = no2
+        whole = Constraint(k_regular=k, forbid_ones=True, forbid_twos=True)
+        strict = False
+    else:
+        left, right, whole, strict = no2, Constraint(k_regular=k), no2, True
+    lhs = count_overpartitions(a, left) * count_overpartitions(b, right)
+    rhs = count_overpartitions(a + b, whole)
+    holds = lhs > rhs if strict else lhs >= rhs
+    report = VerificationReport(lemma_id, k, a, b, lhs, rhs, strict, holds)
+
+    if single is not None:
+        domain = enumerate_overpartitions(a + b, whole)
+        pairs = [(op, single.split(op)) for op in domain]
+        images = _check_images(report, pairs, left, right, a, b)
+        report.unattained_witness = _witness(single, a, no2, images, report.notes)
+    elif lemma_id == "2.1" and k >= 5:
         pairs = []
-        for op in domain:
+        for op in enumerate_overpartitions(a + b, whole):
             try:
                 pairs.append((op, f1_map(op, k, a, b)))
             except UnsupportedCaseError:
                 report.unsupported += 1
-        _check_images(report, pairs, no1, no2, a, b)
+        _check_images(report, pairs, left, right, a, b)
         if report.unsupported:
             report.mode = "map+cardinality"
-        return report
-
-    if lemma_id == "2.4":
-        if b < 3 or a + b < k + 1:
-            raise OverpartitionError("lemma 2.4 needs b >= 3 and a+b >= k+1")
-        lhs = count_overpartitions(a, no2) * count_overpartitions(b, free)
-        rhs = count_overpartitions(a + b, no2)
-        return VerificationReport(
-            "2.4", k, a, b, lhs, rhs, True, lhs > rhs, mode="cardinality"
-        )
-
-    raise OverpartitionError(f"unknown lemma id {lemma_id!r}")
+    else:
+        report.mode = "cardinality"
+    return report

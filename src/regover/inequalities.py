@@ -12,7 +12,6 @@ to the published ones rather than assuming the published values are tight.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -206,9 +205,6 @@ class ThresholdReport:
             "exceptions_below": list(self.exceptions_below),
             "equalities": list(self.equalities),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def scan_thresholds(k: int, property: str, horizon: int) -> ThresholdReport:

@@ -208,9 +208,6 @@ class Interval:
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def is_positive(self) -> bool:
-        return self.lo > 0
-
     # -- serialization ------------------------------------------------
 
     def to_string(self, digits: int = 20) -> str:
@@ -390,14 +387,6 @@ def e_i(s: Interval) -> Interval:
         power = power * inv
         total = total - power * c
     return total
-
-
-def bessel_i1_upper_simple(s: Interval) -> Interval:
-    """The elementary bound sqrt(2/(pi*s)) * e^s, valid for s >= 1."""
-    if s.lo < 1:
-        raise NumericsError(f"simple I1 bound needs s >= 1, got {s!r}")
-    p = pi(s.precision)
-    return (2 / (p * s)).sqrt() * s.exp()
 
 
 def bessel_i1_bracket(s: Interval) -> tuple[Interval, Interval]:

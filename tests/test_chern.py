@@ -66,7 +66,7 @@ class TestInvariants:
         inv = invariants(build_spec(k))
         for l in range(1, inv.L + 1):
             assert inv.delta4_sq[l] > 0
-            assert inv.delta4(l).is_positive()
+            assert inv.delta4(l).lo > 0
 
 
 class TestAdmissibility:
@@ -237,7 +237,7 @@ class TestEstimate:
     def test_json(self):
         import json
 
-        data = json.loads(estimate(3, 500).to_json())
+        data = json.loads(json.dumps(estimate(3, 500).to_row()))
         assert data["inside"] == "true"
 
     def test_overlap_is_not_inside(self, monkeypatch):

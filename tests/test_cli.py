@@ -12,8 +12,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from regover import chern, cli, combinatorics
-from regover.cli import A_MAX_CEILING, N_MAX_CEILING, main
+from regover import chern, cli, combinatorics, inequalities
+from regover.cli import (
+    A_MAX_CEILING,
+    N_MAX_CEILING,
+    SUBADD_HORIZON_CEILING,
+    TOTAL_MAX_CEILING,
+    main,
+)
 from regover.numerics import Interval
 from regover.qseries import pk, warm_cache
 
@@ -361,8 +367,16 @@ class TestResourceCeilings:
             ["count", "--k", "2", "--n", str(N_MAX_CEILING + 1)],
             ["asym", "--k", "2..9", "--n-min", "1000", "--n-max", str(N_MAX_CEILING + 1)],
             ["lemmas", "--id", "2.3", "--k", "2..9", "--a-max", str(A_MAX_CEILING + 1)],
+            ["lemmas", "--id", "2.1", "--k", "2..9", "--total-max", str(TOTAL_MAX_CEILING + 1)],
+            ["verify", "logconcave", "--k", "2..9", "--horizon", str(N_MAX_CEILING + 1)],
+            ["verify", "turan3", "--k", "9", "--horizon", str(N_MAX_CEILING + 1)],
+            ["verify", "qbounds", "--k", "3", "--horizon", str(N_MAX_CEILING + 1)],
+            ["verify", "subadd", "--k", "2", "--horizon", str(SUBADD_HORIZON_CEILING + 1)],
         ],
-        ids=["count-n-max", "count-n", "asym", "lemmas"],
+        ids=[
+            "count-n-max", "count-n", "asym", "lemmas", "lemmas-total-max",
+            "logconcave", "turan3", "qbounds", "subadd",
+        ],
     )
     def test_ceiling_plus_one_exits_two_at_once(self, runner, monkeypatch, args):
         def no_work(*_args, **_kwargs):
@@ -375,6 +389,8 @@ class TestResourceCeilings:
             (cli, "pk"),
             (chern, "estimate"),
             (combinatorics, "verify_lemma"),
+            (inequalities, "scan_thresholds"),
+            (inequalities, "verify_q_containment"),
         ]:
             monkeypatch.setattr(module, name, no_work)
         started = time.monotonic()
@@ -384,9 +400,37 @@ class TestResourceCeilings:
         assert "exceeds the resource ceiling" in result.output
 
     def test_ceilings_cover_the_benchmark_and_test_sizes(self):
-        # the benchmark's largest count --n-max (8000) and the lemmas default
-        # --a-max (20, criterion 3's range) must stay accepted
-        assert N_MAX_CEILING >= 8000 and A_MAX_CEILING >= 20
+        # the benchmark's largest count --n-max (8000) and verify --horizon
+        # (3000 logconcave, 200 subadd), the default qbounds horizons, and the
+        # lemmas defaults --a-max 20 and --total-max 18 (criterion 3's
+        # ranges) must stay accepted
+        qbounds_defaults = [cli._default_horizon("qbounds", k) for k in range(2, 10)]
+        assert N_MAX_CEILING >= max(8000, *qbounds_defaults)
+        assert A_MAX_CEILING >= 20
+        assert SUBADD_HORIZON_CEILING >= 200 and TOTAL_MAX_CEILING >= 18
+
+    def test_subadd_at_its_ceiling_is_accepted(self, runner, monkeypatch):
+        # the subadd ceiling applies to subadd only, and at the ceiling itself
+        # the sweep starts
+        calls = []
+
+        def scan_started(*args):
+            calls.append(args)
+            raise inequalities.InequalityError("scan started")
+
+        monkeypatch.setattr(inequalities, "scan_thresholds", scan_started)
+        for prop, horizon in [
+            ("subadd", SUBADD_HORIZON_CEILING),
+            ("logconcave", SUBADD_HORIZON_CEILING + 1),
+        ]:
+            result = runner.invoke(
+                main, ["verify", prop, "--k", "3", "--horizon", str(horizon)]
+            )
+            assert "scan started" in result.output
+        assert calls == [
+            (3, "subadd", SUBADD_HORIZON_CEILING),
+            (3, "logconcave", SUBADD_HORIZON_CEILING + 1),
+        ]
 
 
 class TestImportFootprint:

@@ -1,6 +1,7 @@
 """Enumeration oracle and injection checks for the splitting maps."""
 
 import itertools
+import json
 
 import pytest
 
@@ -16,6 +17,7 @@ from regover.combinatorics import (
     f1_map,
     f2_map,
     f3_map,
+    lemma_grid,
     verify_lemma,
 )
 from regover.qseries import pk
@@ -272,6 +274,7 @@ class TestLemma24:
             verify_lemma("2.4", 5, 1, 2)
 
 
+
 class TestTheorem11Boundary:
     def test_weak_at_a_b_one(self):
         rep = verify_lemma("2.1", 2, 1, 1)
@@ -281,9 +284,83 @@ class TestTheorem11Boundary:
         assert pk(3, 2) * pk(3, 1) > pk(3, 3)
 
 
+class TestLemmaInputs:
+    @pytest.mark.parametrize(
+        "lemma_id, k, a, b, message",
+        [
+            ("2.2", 3, 4, 2, "lemma 2.2 fixes b = 1"),
+            ("2.3", 3, 4, 1, "lemma 2.3 fixes b = 2"),
+            ("2.1", 5, 4, None, "lemma 2.1 needs explicit b"),
+            ("2.1", 5, 4, 0, "b must be >= 1, got 0"),
+            ("2.4", 5, 2, 2, "lemma 2.4 needs b >= 3 and a+b >= k+1"),
+            ("2.4", 5, 2, 3, "lemma 2.4 needs b >= 3 and a+b >= k+1"),
+            ("2.5", 5, 4, 3, "unknown lemma id '2.5'"),
+            ("2.5", 5, 4, None, "unknown lemma id '2.5'"),
+            ("2.2", 1, 4, None, "k must be >= 2, got 1"),
+            ("2.2", 3, 0, None, "a must be >= 1, got 0"),
+        ],
+    )
+    def test_invalid_input_rejected(self, lemma_id, k, a, b, message):
+        with pytest.raises(OverpartitionError) as info:
+            verify_lemma(lemma_id, k, a, b)
+        assert type(info.value) is OverpartitionError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lemma_id, b", [("2.2", 1), ("2.3", 2)])
+    def test_fixed_b_may_be_given(self, lemma_id, b):
+        assert verify_lemma(lemma_id, 4, 6, b) == verify_lemma(lemma_id, 4, 6)
+
+
+def reference_grid(lemma_id, k, a_max, total_max):
+    """The CLI's lemma grid as literally written before lemma_grid existed;
+    b = None stands for the fixed b of lemmas 2.2/2.3."""
+    if lemma_id in ("2.2", "2.3"):
+        return [(a, None) for a in range(1, a_max + 1)]
+    if lemma_id == "2.1":
+        return [
+            (a, b)
+            for a in range(1, total_max)
+            for b in range(1, total_max + 1 - a)
+        ]
+    return [
+        (a, b)
+        for a in range(1, total_max - 2)
+        for b in range(3, total_max + 1 - a)
+        if a + b >= k + 1
+    ]
+
+
+class TestLemmaGrid:
+    @pytest.mark.parametrize("lemma_id", ["2.1", "2.2", "2.3", "2.4"])
+    @pytest.mark.parametrize("k", KS)
+    def test_matches_reference(self, lemma_id, k):
+        fixed_b = {"2.2": 1, "2.3": 2}.get(lemma_id)
+        for a_max, total_max in [(1, 2), (3, 4), (8, 10), (16, 14), (20, 18), (26, 22)]:
+            expected = [
+                (a, fixed_b if b is None else b)
+                for a, b in reference_grid(lemma_id, k, a_max, total_max)
+            ]
+            assert list(lemma_grid(lemma_id, k, a_max, total_max)) == expected
+
+    @pytest.mark.parametrize("k", KS)
+    def test_every_point_verifies(self, k):
+        # every grid point lies inside its lemma's domain
+        for lemma_id in ("2.1", "2.4"):
+            for a, b in lemma_grid(lemma_id, k, 1, 10):
+                verify_lemma(lemma_id, k, a, b)
+
+    def test_unknown_id_rejected(self):
+        with pytest.raises(OverpartitionError, match="unknown lemma id"):
+            list(lemma_grid("2.5", 3, 4, 6))
+
+
 def test_report_serialization():
     rep = verify_lemma("2.2", 2, 5)
     data = rep.to_dict()
     assert data["lemma"] == "2.2"
     assert data["k"] == 2 and data["a"] == 5 and data["b"] == 1
-    assert isinstance(rep.to_json(), str)
+    assert list(data) == [
+        "lemma", "k", "a", "b", "lhs", "rhs", "strict", "holds", "injective",
+        "codomain_ok", "unattained_witness", "mode", "unsupported", "notes",
+    ]
+    assert json.loads(json.dumps(data)) == data

@@ -281,7 +281,7 @@ class TestScan:
 
     def test_report_serialization(self):
         r = scan_thresholds(3, "logconcave", 50)
-        d = json.loads(r.to_json())
+        d = json.loads(json.dumps(r.to_dict()))
         assert d["k"] == 3 and d["property"] == "logconcave"
         assert d["equalities"] == [1, 6]
         assert isinstance(d["exceptions_below"], list)

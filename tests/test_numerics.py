@@ -22,7 +22,6 @@ from regover.numerics import (
     PrecisionExhausted,
     bessel_i1,
     bessel_i1_bracket,
-    bessel_i1_upper_simple,
     _i1_sums,
     certify,
     dedekind_sum,
@@ -469,22 +468,6 @@ class TestBesselI1:
         with pytest.raises(NumericsError):
             bessel_i1_bracket(iv(25))
 
-    def test_simple_upper_bound_dominates(self):
-        for s in (1, 5, 26, 300):
-            assert bessel_i1(iv(s)).hi <= bessel_i1_upper_simple(iv(s)).hi
-
-    def test_simple_bound_value_at_one(self):
-        out = bessel_i1_upper_simple(iv(1))
-        assert float(out.lo) == pytest.approx(math.sqrt(2 / math.pi) * math.e)
-
-    def test_simple_bound_monotone(self):
-        vals = [bessel_i1_upper_simple(iv(s)) for s in (1, 2, 4, 8, 16)]
-        for a, b in zip(vals, vals[1:]):
-            assert a.hi < b.lo
-
-    def test_simple_bound_rejects_below_one(self):
-        with pytest.raises(NumericsError):
-            bessel_i1_upper_simple(iv(Fraction(1, 2)))
 
 
 class TestEI:
