@@ -19,9 +19,11 @@ Imports: this module loads only click and :mod:`regover.qseries` at import
 time.  Each subcommand imports the layers it runs, and the exceptions it
 catches, inside its own body, so a process pays only for what it runs:
 ``count`` needs nothing more, ``lemmas`` loads :mod:`regover.combinatorics`,
-``verify`` :mod:`regover.inequalities` and :mod:`regover.numerics`, and
-``asym`` :mod:`regover.chern` and :mod:`regover.numerics` (mpmath comes in
-with :mod:`regover.numerics`).  Keep new layer imports inside the commands.
+``verify`` :mod:`regover.inequalities` and the mpmath-free
+:mod:`regover.precision` (``verify qbounds`` also :mod:`regover.numerics`),
+and ``asym`` :mod:`regover.chern` and :mod:`regover.numerics` (mpmath comes
+in with :mod:`regover.numerics`).  Keep new layer imports inside the
+commands.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ K_MIN, K_MAX = 2, 9
 #     tables are about 5.3 s and 81 MB and the rest is one joined block of
 #     output per k.
 #   * ``verify logconcave --horizon 50000`` takes 7.4 s and 87 MB, ``verify
-#     turan3`` 10.3 s and 87 MB; ``verify qbounds`` certifies about 2 500
-#     rows per second, so its full range runs for minutes but in flat memory.
+#     turan3`` 10.3 s and 87 MB; ``verify qbounds --horizon 50000`` (about
+#     370 000 certified rows, written as they are decided) takes 23.6 s and
+#     87 MB, where keeping every row until the end took 62 s and 269 MB.
 #   * ``verify subadd`` checks about horizon²/4 pairs per k: horizon 2000
 #     takes 2.4 s and 3000 takes 4.9 s, both in 23 MB.
 #   * ``lemmas --id 2.3 --a-max 26`` takes about 5 s and 59 MB, and each step
@@ -86,15 +89,17 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _resolve_precision(precision: int | None) -> int:
-    from .numerics import NumericsError, default_precision
+    from .precision import MIN_PRECISION, NumericsError, default_precision
 
     if precision is None:
         try:
             return default_precision()
         except NumericsError as exc:
             raise click.UsageError(str(exc))
-    if precision < 64:
-        raise click.UsageError(f"precision must be >= 64 bits, got {precision}")
+    if precision < MIN_PRECISION:
+        raise click.UsageError(
+            f"precision must be >= {MIN_PRECISION} bits, got {precision}"
+        )
     return precision
 
 
@@ -172,6 +177,43 @@ def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
             write("".join([
                 f"{key}{n:<{wn}}  {c:<{wc}}\n" for n, c in enumerate(counts, n_lo)
             ]))
+
+
+def _write_qbounds(horizons: dict[int, int], output: str, precision: int) -> bool:
+    """Certify and write ``verify qbounds``' rows; True iff some row failed.
+
+    The bytes are those :func:`_emit` gives for the rows
+    ``{"k": k, "n": n, "property": "qbounds", "verdict": ok}`` for n from the
+    published threshold to ``horizons[k]``, but each row is written as soon
+    as it is decided and none is kept, so memory stays flat in the horizon.
+    A row that stays undecided raises after the rows before it are written.
+    """
+    from .inequalities import QBOUND_THRESHOLDS, verify_q_containment
+
+    if output == "csv":
+        head, row, joiner, tail = "k,n,property,verdict\n", "{},{},qbounds,{}\n", "", ""
+    elif output == "json":
+        head, joiner, tail = "[", ", ", "]\n"
+        row = '{{"k": {}, "n": {}, "property": "qbounds", "verdict": {}}}'
+    else:
+        # k is one digit, "qbounds" and both verdicts are no wider than their
+        # column names, and n's widest cell is that of the largest horizon
+        wn = max(len("n"), len(str(max(horizons.values()))))
+        head, joiner, tail = f"k  {'n':<{wn}}  property  verdict\n", "", ""
+        row = f"{{}}  {{:<{wn}}}  qbounds   {{:<7}}\n"
+    write = sys.stdout.write
+    write(head)
+    failed = False
+    sep = ""
+    for k, h in horizons.items():
+        warm_cache(k, h + 1)
+        for n in range(QBOUND_THRESHOLDS[k], h + 1):
+            ok = verify_q_containment(k, n, precision)
+            failed = failed or not ok
+            write(sep + row.format(k, n, "true" if ok else "false"))
+            sep = joiner
+    write(tail)
+    return failed
 
 
 _OUTPUT = click.option(
@@ -262,52 +304,38 @@ def verify(
 ) -> None:
     """Sweep one inequality over a k range; exit 0 iff no counterexample.
 
-    subadd / logconcave / turan3 run exact scans and emit one threshold
-    report per k; qbounds certifies L(n) < Q_k(n) < R(n) with interval
-    arithmetic and emits one verdict row per n.
+    subadd / logconcave / turan3 run exact big-integer scans and emit one
+    threshold report per k, without loading mpmath.  qbounds certifies
+    L(n) < Q_k(n) < R(n) row by row, with the printed bounds evaluated in
+    directed-rounded fixed-point integers, and streams one verdict row per
+    n; a row undecided at the precision cap exits 3 after the rows before
+    it.
     """
-    from .inequalities import (
-        QBOUND_THRESHOLDS,
-        InequalityError,
-        scan_thresholds,
-        verify_q_containment,
-    )
-    from .numerics import NumericsError, PrecisionExhausted
+    from .inequalities import QBOUND_THRESHOLDS, InequalityError, scan_thresholds
+    from .precision import NumericsError, PrecisionExhausted
 
     ks = _parse_k_range(k_spec)
     if horizon is not None:
         ceiling = SUBADD_HORIZON_CEILING if property == "subadd" else N_MAX_CEILING
         _check_ceiling("horizon", horizon, ceiling)
     precision = _resolve_precision(precision)
+    horizons = {
+        k: horizon if horizon is not None else _default_horizon(property, k)
+        for k in ks
+    }
     failed = False
     try:
         if property == "qbounds":
-            rows = []
-            for k in ks:
-                h = horizon if horizon is not None else _default_horizon(property, k)
+            for k, h in horizons.items():
                 threshold = QBOUND_THRESHOLDS[k]
                 if h < threshold:
                     raise click.UsageError(
                         f"qbounds for k={k} start at n={threshold}; "
                         f"horizon {h} is below it"
                     )
-                warm_cache(k, h + 1)
-                for n in range(threshold, h + 1):
-                    ok = verify_q_containment(k, n, precision)
-                    failed = failed or not ok
-                    rows.append(
-                        {"k": k, "n": n, "property": property, "verdict": ok}
-                    )
-            _emit(rows, output)
+            failed = _write_qbounds(horizons, output, precision)
         else:
-            reports = [
-                scan_thresholds(
-                    k,
-                    property,
-                    horizon if horizon is not None else _default_horizon(property, k),
-                )
-                for k in ks
-            ]
+            reports = [scan_thresholds(k, property, h) for k, h in horizons.items()]
             for rep in reports:
                 if property == "subadd":
                     bad = rep.exceptions_below

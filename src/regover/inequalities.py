@@ -1,9 +1,15 @@
-"""Exact inequality verification and interval Q-ratio bounds.
+"""Exact inequality verification and certified Q-ratio bounds.
 
 Log-subadditivity, log-concavity, and the third-order Turan inequality are
-decided by exact big-integer comparisons; the two-sided bounds on the
-ratio Q_k(n) = p(n-1) p(n+1) / p(n)^2 are evaluated as printed polynomials
-in 1/mu_k with outward-rounded intervals; the sufficiency criterion
+decided by exact big-integer comparisons, and need neither mpmath nor
+:mod:`regover.numerics`.  The two-sided bounds on the ratio
+Q_k(n) = p(n-1) p(n+1) / p(n)^2 are the printed polynomials in t = 1/mu_k(n),
+evaluated in fixed-point Python integers at scale 2^(P + 32): t is taken
+from the endpoints of :func:`regover.numerics.mu`, pi^4 and pi^8 from those
+of :func:`regover.numerics.pi`, and every product and quotient is rounded in
+the direction that keeps its enclosure, so the resulting rationals are
+proven bounds.  The verdict is :func:`regover.numerics.certify`'s, so only
+the Q path loads :mod:`regover.numerics`.  The sufficiency criterion
 connecting consecutive Q values to the Turan inequality is decided with
 exact rational arithmetic (the square-root comparison is resolved by
 squaring).  A threshold scanner reports observed minimal thresholds next
@@ -12,11 +18,12 @@ to the published ones rather than assuming the published values are tight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
-from .numerics import Interval, certify, default_precision, mu, pi
+from .precision import default_precision
 from .qseries import pk, warm_cache
 
 
@@ -131,10 +138,111 @@ def check_turan3(k: int, n: int) -> bool:
     return _turan3(pk(k, n - 1), pk(k, n), pk(k, n + 1), pk(k, n + 2))
 
 
+class QEnclosure(NamedTuple):
+    """Exact rational enclosure lo <= x <= hi of one Q-bound polynomial."""
+
+    lo: Fraction
+    hi: Fraction
+
+
+# Fixed-point guard bits beyond the working precision P: every rounding in
+# q_bounds moves a value by at most one unit of 2^-(P + _QB_GUARD), and even
+# times the largest coefficient (c6 <= 529) that stays far below the 2^-P
+# relative width that mu's enclosure brings in.
+_QB_GUARD = 32
+
+
+_Bound = tuple[int, int]
+
+
+def _product(num: int, den: int, x: _Bound, y: _Bound, s: int) -> _Bound:
+    """Enclosure (lo, hi) at scale 2^s of (num / den) x y.
+
+    x and y are (lo, hi) enclosures at scale 2^s of nonnegative values and
+    num / den >= 0.  The lower end is floor(num x.lo y.lo / (den 2^s)) and the
+    upper end the matching ceiling: floor(floor(z / den) / 2^s) is
+    floor(z / (den 2^s)) for integer z, and likewise for ceilings, so each
+    end is rounded once.
+    """
+    return (
+        num * x[0] * y[0] // den >> s,
+        -(-num * x[1] * y[1] // den >> s),
+    )
+
+
+@lru_cache(maxsize=8)
+def _pi_powers(precision: int) -> tuple[_Bound, _Bound]:
+    """Enclosures (lo, hi) of pi^4 and pi^8 at scale 2^(precision + _QB_GUARD).
+
+    Built from the endpoints of ``numerics.pi(precision)``, the lower chain
+    rounding down and the upper chain up, so both are proven enclosures.
+    """
+    from .numerics import pi
+
+    s = precision + _QB_GUARD
+    p1 = pi(precision).scaled(s)
+    p2 = _product(1, 1, p1, p1, s)
+    p4 = _product(1, 1, p2, p2, s)
+    return p4, _product(1, 1, p4, p4, s)
+
+
+def _inverse_powers(m: _Bound, s: int) -> list[_Bound]:
+    """Enclosures (lo, hi) at scale 2^s of t^j = 1/mu^j for j = 0..6.
+
+    ``m`` encloses mu at scale 2^s.  t's lower end is floor(2^(2s) / mu.hi)
+    and its upper end ceil(2^(2s) / mu.lo), and t^j = t^(j-1) t.
+    """
+    one = 1 << s
+    t = ((one << s) // m[1], -(-(one << s) // m[0]))
+    powers = [(one, one), t]
+    for _ in range(5):
+        powers.append(_product(1, 1, powers[-1], t, s))
+    return powers
+
+
+def _q_rows(
+    k: int, m: _Bound, p4: _Bound, p8: _Bound, s: int
+) -> tuple[_Bound, _Bound]:
+    """Enclosures (lo, hi) of the lower and upper Q-bound rows at scale 2^s.
+
+    ``m``, ``p4`` and ``p8`` are (lo, hi) enclosures of mu, pi^4 and pi^8 at
+    scale 2^s.  With t = 1/mu, both rows share 1 - A pi^4 t^3 + B pi^4 t^4;
+    the lower row subtracts c5 t^5 + c6 t^6, the upper subtracts d5 t^5 and
+    adds (d6 + e pi^8) t^6.  Each row subtracts the upper end of a term from
+    its lower end and the lower end from its upper end.
+    """
+    one = 1 << s
+    t = _inverse_powers(m, s)
+    # A = (Delta3(1) / 3)^2 with Delta3(1) = 3 (k-1) / (2k), and B = 3A:
+    # A = a / d and B = 3a / d
+    a, d = (k - 1) ** 2, 4 * k * k
+    c5, c6, d5, d6, e = _QB_TABLE[k]
+    a3 = _product(a, d, p4, t[3], s)
+    b4 = _product(3 * a, d, p4, t[4], s)
+    e6 = _product(e.numerator, e.denominator, p8, t[6], s)
+    (t5_lo, t5_hi), (t6_lo, t6_hi) = t[5], t[6]
+    shared_lo = one - a3[1] + b4[0]
+    shared_hi = one - a3[0] + b4[1]
+    return (
+        (shared_lo - c5 * t5_hi - c6 * t6_hi, shared_hi - c5 * t5_lo - c6 * t6_lo),
+        (
+            shared_lo - d5 * t5_hi + d6 * t6_lo + e6[0],
+            shared_hi - d5 * t5_lo + d6 * t6_hi + e6[1],
+        ),
+    )
+
+
 def q_bounds(
     k: int, n: int, precision: Optional[int] = None
-) -> tuple[Interval, Interval]:
-    """Enclosures of the printed lower/upper polynomials bounding Q_k(n)."""
+) -> tuple[QEnclosure, QEnclosure]:
+    """Enclosures of the printed lower/upper polynomials bounding Q_k(n).
+
+    mu_k(n) is read once from :func:`regover.numerics.mu` and the rows are
+    evaluated by :func:`_q_rows` at scale 2^s with s = precision + 32; the
+    endpoints are exact rationals with denominator 2^s.
+    """
+    from .numerics import mu
+
     if k not in _QB_TABLE:
         raise InequalityError(f"Q bounds available for k in 2..9, got {k}")
     threshold = QBOUND_THRESHOLDS[k]
@@ -143,24 +251,20 @@ def q_bounds(
             f"Q bounds for k={k} require n >= {threshold}, got {n}"
         )
     precision = default_precision() if precision is None else precision
-    # A = (Delta3(1) / 3)^2 with Delta3(1) = 3 (k-1) / (2k), and B = 3A
-    A = Fraction(k - 1, 2 * k) ** 2
-    B = 3 * A
-    c5, c6, d5, d6, e = _QB_TABLE[k]
-    m = mu(k, n, precision).value
-    p4 = pi(precision).pow_int(4)
-    inv3 = 1 / m.pow_int(3)
-    inv4 = 1 / m.pow_int(4)
-    inv5 = 1 / m.pow_int(5)
-    inv6 = 1 / m.pow_int(6)
-    shared = 1 - p4 * A * inv3 + p4 * B * inv4
-    lower = shared - c5 * inv5 - c6 * inv6
-    upper = shared - d5 * inv5 + (d6 + e * pi(precision).pow_int(8)) * inv6
-    return lower, upper
+    s = precision + _QB_GUARD
+    p4, p8 = _pi_powers(precision)
+    lower, upper = _q_rows(k, mu(k, n, precision).value.scaled(s), p4, p8, s)
+    one = 1 << s
+    return (
+        QEnclosure(Fraction(lower[0], one), Fraction(lower[1], one)),
+        QEnclosure(Fraction(upper[0], one), Fraction(upper[1], one)),
+    )
 
 
 def verify_q_containment(k: int, n: int, precision: Optional[int] = None) -> bool:
     """Definitely L(n) < Q_k(n) < R(n), escalating precision as needed."""
+    from .numerics import certify
+
     return certify(
         q_ratio(k, n).value,
         lambda prec: q_bounds(k, n, prec),

@@ -2,7 +2,7 @@
 certification loop, Bessel I1 enclosures, the printed I1 bound polynomials,
 Dedekind sums, and the Bessel argument mu_k(n) = pi sqrt((k-1) n / k).
 
-Every transcendental quantity in the asymptotic machinery travels through
+Every transcendental quantity in the asymptotic machinery starts as an
 :class:`Interval`, an immutable raw pair of mpf endpoints.  Each operation
 calls one of mpmath's interval kernels (``libmpi.mpi_*``) with the result
 precision as an argument, so there are no interval contexts: precision is a
@@ -17,55 +17,42 @@ fixed point (scaled Python integers), flooring every term of a lower sum
 and ceiling every term of an upper sum, adds a proven geometric tail bound
 to the upper sum, and rounds the two integer bounds outward into one
 :class:`Interval`.  The rounding error is accounted for by the direction of
-each rounding, not estimated.
+each rounding, not estimated.  :meth:`Interval.scaled` hands an enclosure
+to such fixed-point code as the floor and ceiling of its endpoints at a
+given scale; the Q-ratio bounds in :mod:`regover.inequalities` read mu and
+pi that way.
 
 :func:`certify` is the only place an exact value is compared with an
-interval bracket: a verdict needs strictly separated enclosures, and an
+enclosure bracket: a verdict needs strictly separated enclosures, and an
 undecided comparison doubles the precision up to :data:`MAX_PRECISION`.
 
 Dedekind sums are exact rationals, computed by reciprocity in O(log j)
-steps, and never touch intervals.
+steps, and never touch intervals.  The precision constants, the precision
+rule and the two exceptions live in the mpmath-free :mod:`regover.precision`
+and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from mpmath.libmp import from_rational, fzero, libmpi, to_rational
 
+from .precision import (  # noqa: F401  (re-exported precision contract)
+    DEFAULT_PRECISION,
+    MAX_PRECISION,
+    MIN_PRECISION,
+    NumericsError,
+    PrecisionExhausted,
+    default_precision,
+)
 
-class NumericsError(ValueError):
-    """Raised on domain violations in rigorous numeric operations."""
-
-
-class PrecisionExhausted(ArithmeticError):
-    """An interval comparison stayed inconclusive at the maximum precision."""
-
-
-DEFAULT_PRECISION = 192
-MIN_PRECISION = 64
-MAX_PRECISION = 768
 # guard against exp() of absurd arguments producing numbers with millions
 # of exponent bits; nothing in scope needs exp beyond e^(10^6)
 _MAX_EXP_ARG = 10**6
-
-
-def default_precision() -> int:
-    """Working precision in bits; REGOVER_PRECISION overrides the default."""
-    raw = os.environ.get("REGOVER_PRECISION")
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise NumericsError(f"REGOVER_PRECISION must be an integer, got {raw!r}") from exc
-    if bits < MIN_PRECISION:
-        raise NumericsError(f"REGOVER_PRECISION must be >= {MIN_PRECISION}, got {bits}")
-    return bits
 
 
 Exactable = Union[int, Fraction]
@@ -79,6 +66,17 @@ def _outward(lo: Fraction, hi: Fraction, precision: int):
         from_rational(lo.numerator, lo.denominator, precision, "f"),
         from_rational(hi.numerator, hi.denominator, precision, "c"),
     )
+
+
+def _scaled(x, bits: int, ceil: bool) -> int:
+    """floor (or, with ``ceil``, ceiling) of the raw finite mpf ``x`` times 2^bits."""
+    sign, man, exp, _ = x
+    if sign:
+        man = -man
+    shift = exp + bits
+    if shift >= 0:
+        return man << shift
+    return -(-man >> -shift) if ceil else man >> -shift
 
 
 @dataclass(frozen=True)
@@ -116,6 +114,12 @@ class Interval:
     def hi(self) -> Fraction:
         p, q = to_rational(self._val[1])
         return Fraction(int(p), int(q))
+
+    def scaled(self, bits: int) -> tuple[int, int]:
+        """Integers (floor(lo 2^bits), ceil(hi 2^bits)): the enclosure in fixed
+        point, read from the raw endpoints without building a Fraction."""
+        lo, hi = self._val
+        return _scaled(lo, bits, False), _scaled(hi, bits, True)
 
     @property
     def width(self) -> Fraction:
@@ -237,11 +241,15 @@ def pi(precision: Optional[int] = None) -> Interval:
 
 def certify(
     value: Exactable,
-    bounds: Callable[[int], tuple[Interval, Interval]],
+    bounds: Callable[[int], tuple],
     precision: Optional[int],
     what: str,
 ) -> bool:
     """Decide lower < value < upper for the bracket ``bounds(precision)``.
+
+    ``bounds`` returns two enclosures (lower, upper) whose exact rational
+    ``lo`` and ``hi`` are all that is read: :class:`Interval` or any pair of
+    rationals, such as :class:`regover.inequalities.QEnclosure`.
 
     True only when the enclosures are strictly separated from ``value``
     (lower.hi < value < upper.lo); False only when ``value`` lies strictly

@@ -20,7 +20,7 @@ from regover.cli import (
     TOTAL_MAX_CEILING,
     main,
 )
-from regover.numerics import Interval
+from regover.numerics import Interval, PrecisionExhausted
 from regover.qseries import pk, warm_cache
 
 from conftest import SUBADD_COUNTEREXAMPLES
@@ -40,9 +40,17 @@ def reference_count(ks, ns, output):
     rows = [{"k": k, "n": n, "count": str(pk(k, n))} for k in ks for n in ns]
     if output == "table" and len(rows) == 1:
         return rows[0]["count"] + "\n"  # a single cell prints bare
+    return render_rows(rows, output)
+
+
+def render_rows(rows, output):
+    """Rows of identical keys as a padded table, CSV or a JSON array."""
     if output == "json":
         return json.dumps(rows) + "\n"
-    lines = [list(rows[0])] + [[str(v) for v in row.values()] for row in rows]
+    lines = [list(rows[0])] + [
+        [str(v).lower() if isinstance(v, bool) else str(v) for v in row.values()]
+        for row in rows
+    ]
     if output == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(lines)
@@ -221,6 +229,70 @@ class TestVerify:
             ],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "option, env, message",
+        [
+            (["--precision", "16"], None, "precision must be >= 64 bits, got 16"),
+            ([], "abc", "REGOVER_PRECISION must be an integer, got 'abc'"),
+            ([], "16", "REGOVER_PRECISION must be >= 64, got 16"),
+        ],
+        ids=["option-16", "env-abc", "env-16"],
+    )
+    def test_exact_scan_rejects_bad_precision(
+        self, runner, monkeypatch, option, env, message
+    ):
+        # the exact scans never read the precision, but validate it all the same
+        if env is not None:
+            monkeypatch.setenv("REGOVER_PRECISION", env)
+        result = runner.invoke(main, ["verify", "turan3", "--k", "2..9", *option])
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("output", ["csv", "json", "table"])
+    @pytest.mark.parametrize(
+        "ks, horizon",
+        [([3, 4], 1000), ([6], 2055), ([9], 8200)],
+        ids=["k3-4-h1000", "k6-one-row", "k9-h8200"],
+    )
+    def test_qbounds_rows_match_reference_renderer(self, runner, ks, horizon, output):
+        # rows are streamed as they are decided; the bytes must be those of
+        # the rows rendered all at once
+        spec = f"{ks[0]}..{ks[-1]}"
+        result = runner.invoke(
+            main,
+            ["verify", "qbounds", "--k", spec, "--horizon", str(horizon),
+             "--output", output],
+        )
+        assert result.exit_code == 0
+        rows = [
+            {"k": k, "n": n, "property": "qbounds",
+             "verdict": inequalities.verify_q_containment(k, n)}
+            for k in ks
+            for n in range(inequalities.QBOUND_THRESHOLDS[k], horizon + 1)
+        ]
+        assert result.stdout == render_rows(rows, output)
+
+    def test_qbounds_undecided_row_exits_three_after_earlier_rows(
+        self, runner, monkeypatch
+    ):
+        decide = inequalities.verify_q_containment
+
+        def undecided_at_370(k, n, precision=None):
+            if n == 370:
+                raise PrecisionExhausted(f"Q containment for k={k}, n={n} inconclusive")
+            return decide(k, n, precision)
+
+        monkeypatch.setattr(inequalities, "verify_q_containment", undecided_at_370)
+        result = runner.invoke(
+            main, ["verify", "qbounds", "--k", "3", "--horizon", "400", "--output", "csv"]
+        )
+        assert result.exit_code == 3
+        assert "precision exhausted" in result.stderr and "n=370" in result.stderr
+        assert [r["n"] for r in rows_from_csv(result.stdout)] == [
+            str(n) for n in range(365, 370)
+        ]
 
 
 class TestAsym:
@@ -458,10 +530,23 @@ class TestImportFootprint:
             ),
             (
                 ["verify", "turan3", "--k", "3", "--horizon", "40"],
+                ["mpmath", "regover.numerics", "regover.chern", "regover.combinatorics"],
+            ),
+            (
+                ["verify", "logconcave", "--k", "2..9", "--horizon", "40"],
+                ["mpmath", "regover.numerics", "regover.chern", "regover.combinatorics"],
+            ),
+            (
+                ["verify", "subadd", "--k", "3..9", "--horizon", "20"],
+                ["mpmath", "regover.numerics", "regover.chern", "regover.combinatorics"],
+            ),
+            (
+                ["verify", "qbounds", "--k", "3", "--horizon", "370"],
                 ["regover.chern", "regover.combinatorics"],
             ),
         ],
-        ids=["count", "lemmas", "verify"],
+        ids=["count", "lemmas", "verify", "verify-logconcave", "verify-subadd",
+             "verify-qbounds"],
     )
     def test_subcommand_leaves_other_layers_unimported(self, args, absent):
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,9 +1,14 @@
 """Exact inequalities, Q-ratio bounds, and threshold scanning."""
 
 import json
+import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regover import inequalities
 from regover.inequalities import (
@@ -23,10 +28,11 @@ from regover.inequalities import (
     verify_q_containment,
 )
 from regover.chern import invariants
-from regover.numerics import MAX_PRECISION, Interval, PrecisionExhausted, mu, pi
+from regover.numerics import MAX_PRECISION, Interval, PrecisionExhausted, certify
 from regover.qseries import build_spec, pk
 
 from conftest import SUBADD_COUNTEREXAMPLES
+from q_bounds_oracle import q_bounds_oracle
 
 KS = list(range(2, 10))
 
@@ -225,21 +231,167 @@ class TestQBounds:
         assert A == (delta3 / 3) ** 2 == Fraction(k - 1, 2 * k) ** 2
         assert B == 3 * A
 
+    @classmethod
+    def printed_rows(cls, k, n, bits=1000):
+        """The printed rows L(n), R(n) from the printed A, B, at ``bits`` bits."""
+        A, B = cls.PRINTED_AB[k]
+        c5, c6, d5, d6, e = inequalities._QB_TABLE[k]
+        with mpmath.workprec(bits):
+            p = mpmath.pi
+            t = 1 / (p * mpmath.sqrt(mpmath.mpf((k - 1) * n) / k))
+
+            def rat(x):
+                return mpmath.mpf(x.numerator) / x.denominator
+
+            shared = 1 - rat(A) * p**4 * t**3 + rat(B) * p**4 * t**4
+            lower = shared - c5 * t**5 - c6 * t**6
+            upper = shared - d5 * t**5 + (d6 + rat(e) * p**8) * t**6
+            return tuple(
+                Fraction(int(x.man)) * Fraction(2) ** int(x.exp) for x in (lower, upper)
+            )
+
+    @staticmethod
+    def seeded_ns(k):
+        n0 = QBOUND_THRESHOLDS[k]
+        rng = random.Random(k)
+        return [n0, n0 + 11, *sorted(rng.randrange(n0, 50_001) for _ in range(3))]
+
     @pytest.mark.parametrize("k", KS)
     def test_bounds_match_printed_a_b(self, k):
-        # the printed rows evaluated term by term give the same endpoints
-        n, prec = QBOUND_THRESHOLDS[k] + 11, 192
+        # the integer and the Interval oracle enclosures both contain a
+        # 1000-bit evaluation of the rows built from the printed A, B
+        for n in self.seeded_ns(k):
+            reference = self.printed_rows(k, n)
+            for prec in (64, 192, 384):
+                for got in (q_bounds(k, n, prec), q_bounds_oracle(k, n, prec)):
+                    for enclosure, value in zip(got, reference):
+                        assert enclosure.lo < value < enclosure.hi, (n, prec)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_relative_width(self, k):
+        for n in self.seeded_ns(k):
+            for prec in (64, 192, 384):
+                for enclosure in q_bounds(k, n, prec):
+                    assert enclosure.hi - enclosure.lo <= enclosure.lo / 2 ** (prec - 8)
+
+    @pytest.mark.parametrize("k, ns", [(3, range(365, 1366)), (2, range(5652, 6153))])
+    def test_verdicts_match_oracle(self, k, ns):
+        for n in ns:
+            oracle = certify(
+                q_ratio(k, n).value,
+                lambda prec: q_bounds_oracle(k, n, prec),
+                None,
+                f"oracle k={k}, n={n}",
+            )
+            assert verify_q_containment(k, n) == oracle, n
+
+
+class TestFixedPoint:
+    # the directed-rounding helpers behind q_bounds, each against the exact
+    # rational value it must bracket
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=-(10**6), max_value=10**6),
+        st.fractions(min_value=0, max_value=10**6),
+        st.integers(min_value=64, max_value=400),
+        st.integers(min_value=0, max_value=500),
+    )
+    def test_scaled_endpoints(self, lo, extra, prec, bits):
+        iv = Interval.from_endpoints(lo, lo + extra, prec)
+        a, b = iv.scaled(bits)
+        assert a == math.floor(iv.lo * 2**bits)
+        assert b == math.ceil(iv.hi * 2**bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**12),
+        st.integers(min_value=1, max_value=2**12),
+        st.integers(min_value=0, max_value=2**600),
+        st.integers(min_value=0, max_value=2**40),
+        st.integers(min_value=0, max_value=2**600),
+        st.integers(min_value=0, max_value=2**40),
+        st.integers(min_value=0, max_value=700),
+    )
+    def test_product(self, num, den, x, wx, y, wy, s):
+        lo, hi = inequalities._product(num, den, (x, x + wx), (y, y + wy), s)
+        exact_lo = Fraction(num * x * y, den * 2**s)
+        exact_hi = Fraction(num * (x + wx) * (y + wy), den * 2**s)
+        assert lo == math.floor(exact_lo)
+        assert hi == math.ceil(exact_hi)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=64, max_value=MAX_PRECISION))
+    def test_pi_powers(self, prec):
+        s = prec + inequalities._QB_GUARD
+        with mpmath.workprec(2 * s + 64):
+            scaled = [mpmath.pi**4 * 2**s, mpmath.pi**8 * 2**s]
+        for (lo, hi), value in zip(inequalities._pi_powers(prec), scaled):
+            assert lo < value < hi
+            # pi(prec) is about 2^-prec tight, so pi^j about j 2^-prec
+            assert hi - lo <= value / 2 ** (prec - 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=1, max_value=2**9),
+            st.integers(min_value=2**9, max_value=2**18),
+        ),
+        st.integers(min_value=0, max_value=2**20),
+        st.integers(min_value=8, max_value=400),
+    )
+    def test_inverse_powers(self, m_lo, w, s):
+        # mu in [m_lo, m_lo + w] / 2^8, every power of t = 1/mu at scale 2^s
+        lo_mu, hi_mu = Fraction(m_lo, 2**8), Fraction(m_lo + w, 2**8)
+        powers = inequalities._inverse_powers((m_lo << (s - 8), (m_lo + w) << (s - 8)), s)
+        assert powers[0] == (2**s, 2**s)
+        for j, (lo, hi) in enumerate(powers):
+            assert Fraction(lo, 2**s) <= 1 / hi_mu**j
+            assert 1 / lo_mu**j <= Fraction(hi, 2**s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(KS),
+        st.one_of(
+            st.integers(min_value=1, max_value=2**9),
+            st.integers(min_value=2**9, max_value=2**18),
+            st.integers(min_value=0, max_value=18).map(lambda j: 2**j),
+        ),
+        st.integers(min_value=0, max_value=2**10),
+        st.integers(min_value=2**64, max_value=2**66),
+        st.integers(min_value=0, max_value=2**40),
+        st.integers(min_value=0, max_value=2**70),
+        st.integers(min_value=0, max_value=2**40),
+        st.integers(min_value=64, max_value=400),
+    )
+    def test_rows_bracket_exact_value(self, k, m8, wm, p4, w4, p8, w8, prec):
+        # mu in [m8, m8 + wm] / 2^8 and pi^4, pi^8 in [p, p + w] / 2^64 (any
+        # rationals do): the rows at every corner must lie inside.  mu = 2^j
+        # makes every power of t exact, so each rounding of a product shows;
+        # small mu magnifies every rounding of t
+        s = prec + inequalities._QB_GUARD
+        mu_s = (m8 << (s - 8), (m8 + wm) << (s - 8))
+        p4_s = (p4 << (s - 64), (p4 + w4) << (s - 64))
+        p8_s = (p8 << (s - 64), (p8 + w8) << (s - 64))
+        rows = inequalities._q_rows(k, mu_s, p4_s, p8_s, s)
         A, B = self.PRINTED_AB[k]
         c5, c6, d5, d6, e = inequalities._QB_TABLE[k]
-        m = mu(k, n, prec).value
-        p4 = pi(prec).pow_int(4)
-        inv = {j: 1 / m.pow_int(j) for j in (3, 4, 5, 6)}
-        shared = 1 - p4 * A * inv[3] + p4 * B * inv[4]
-        lower = shared - c5 * inv[5] - c6 * inv[6]
-        upper = shared - d5 * inv[5] + (d6 + e * pi(prec).pow_int(8)) * inv[6]
-        got_lower, got_upper = q_bounds(k, n, prec)
-        assert (got_lower.lo, got_lower.hi) == (lower.lo, lower.hi)
-        assert (got_upper.lo, got_upper.hi) == (upper.lo, upper.hi)
+        for t in (Fraction(2**8, m8), Fraction(2**8, m8 + wm)):
+            for pi4 in (Fraction(p4, 2**64), Fraction(p4 + w4, 2**64)):
+                for pi8 in (Fraction(p8, 2**64), Fraction(p8 + w8, 2**64)):
+                    shared = 1 - A * pi4 * t**3 + B * pi4 * t**4
+                    exact = (
+                        shared - c5 * t**5 - c6 * t**6,
+                        shared - d5 * t**5 + (d6 + e * pi8) * t**6,
+                    )
+                    for (lo, hi), value in zip(rows, exact):
+                        assert Fraction(lo, 2**s) <= value <= Fraction(hi, 2**s)
+        if m8 >= 20 * 2**8 and wm == w4 == w8 == 0:
+            # with point inputs at mu >= 20, far below one unit of precision
+            for lo, hi in rows:
+                assert hi - lo <= 2 ** (s - prec - 16)
+
+    PRINTED_AB = TestQBounds.PRINTED_AB
 
 
 class TestScan:
