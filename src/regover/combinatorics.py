@@ -27,16 +27,25 @@ overlines.  :func:`enumerate_overpartitions` instead builds each canonical
 part tuple directly (a dynamic programme over part sizes in increasing
 order, each new largest size prepended as one block; cf. Knuth, TAOCP 4A,
 §7.2.1.4) and wraps it with the internal ``Overpartition._trusted``, which
-neither sorts nor validates.  The internal bodies ``_f2`` and ``_f3`` build
-their images the same way, since dropping trailing parts of a canonical
-tuple, or replacing its last part of size >= 2 by 1's, keeps it canonical.
-The public ``f2_map``/``f3_map`` are the bodies behind one shared
+neither sorts nor validates.  The internal bodies ``_f2_parts`` and
+``_f3_parts`` map a canonical part tuple to its (left, right) image tuples,
+which stay canonical, since dropping trailing parts of a canonical tuple, or
+replacing its last part of size >= 2 by 1's, keeps it canonical.  The public
+``f2_map``/``f3_map`` wrap them in a ``SplitPair`` behind one shared
 precondition check (k-regular, no plain 2, least weight 1 resp. 2);
 ``f1_map``, whose extra parts are not provably canonical, keeps the
-validating constructor.  Trusting construction skips no verification:
-:func:`verify_lemma` still checks every image's weight, codomain membership
-and distinctness, and :func:`count_overpartitions` recounts every domain
-independently.
+validating constructor.
+
+Trusting construction skips no verification.  :func:`verify_lemma` checks
+lemmas 2.2/2.3 on the raw image tuples, without building an object per
+image, and checks every image, of every lemma, for its weight (the sum of
+its part sizes), codomain membership and distinctness.  Membership is
+decided on the tuple too: a part tuple of weight w satisfies a constraint
+iff each of its parts is one of the (size, overline) pairs that
+:meth:`Constraint.allowed_parts` gives for w, a set built once per grid
+point.  :func:`count_overpartitions` recounts every domain by its own walk
+over partitions, which shares nothing with the enumeration or the q-series;
+its memo is kept per constraint across calls.
 
 Each lemma is declared once: ``_SINGLE_SIDED`` gives the fixed b, map body
 and witness shape of lemmas 2.2/2.3, and one predicate gives lemma 2.4's
@@ -45,10 +54,10 @@ range to both :func:`verify_lemma` and :func:`lemma_grid`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 
 class OverpartitionError(ValueError):
@@ -141,6 +150,16 @@ class Constraint:
             return False
         return True
 
+    def allowed_parts(self, max_size: int) -> frozenset[Part]:
+        """The (size, overline) parts of sizes 1..``max_size`` the constraint
+        allows.  A part tuple of weight w has only positive sizes and
+        satisfies the constraint iff each of its parts is in
+        ``allowed_parts(w)``."""
+        return frozenset(
+            [(s, True) for s in range(1, max_size + 1) if self.allows_size(s)]
+            + [(s, False) for s in range(1, max_size + 1) if self.allows_plain(s)]
+        )
+
     def satisfied_by(self, op: Overpartition) -> bool:
         k, no1, no2 = self.k_regular, self.forbid_ones, self.forbid_twos
         for s, o in op.parts:
@@ -167,29 +186,31 @@ def enumerate_overpartitions(
     """All overpartitions of n satisfying the constraint, ordered by parts."""
     if n < 0:
         raise OverpartitionError(f"n must be >= 0, got {n}")
-    # level[w]: canonical part tuples of weight w using the sizes seen so far.
-    # Adding size s prepends one block of s's to tuples of smaller sizes.
-    # After size s only level[n] and the weights w <= n-s-1 are kept up to
-    # date: a later, larger part leaves at most n-s-1 for the rest.
+    # level[w]: canonical part tuples of weight w using the sizes seen so far,
+    # in increasing order.  Adding size s appends, after every tuple of
+    # smaller sizes, one block of s's prepended to each tuple of smaller
+    # sizes.  The blocks go in the order of their tuples, s^m by m and then
+    # s~ s^(m-1) by m, so each level stays sorted without a sort.  After size
+    # s only level[n] and the weights w <= n-s-1 are kept up to date: a
+    # later, larger part leaves at most n-s-1 for the rest.
     level: list[list[tuple[Part, ...]]] = [[] for _ in range(n + 1)]
     level[0].append(())
     for s in range(1, n + 1):
         if not constraint.allows_size(s):
             continue
-        # (weight, block) in increasing weight: s~, then s^m and s~ s^m
+        # (weight, block) pairs, blocks in tuple order
         over, plain = ((s, True),), ((s, False),)
         heads = [(s, over)]
         if constraint.allows_plain(s):
-            for mult in range(1, n // s + 1):
-                heads.append((s * mult, plain * mult))
-                heads.append((s * (mult + 1), over + plain * mult))
+            mults = range(1, n // s + 1)
+            heads = [(s * m, plain * m) for m in mults] + heads
+            heads += [(s * (m + 1), over + plain * m) for m in mults]
         for w in (n, *range(n - s - 1, s - 1, -1)):
             grown = level[w]
             for hw, head in heads:
-                if hw > w:
-                    break
-                grown.extend([head + rest for rest in level[w - hw]])
-    return tuple(map(Overpartition._trusted, sorted(level[n])))
+                if hw <= w:
+                    grown.extend([head + rest for rest in level[w - hw]])
+    return tuple(map(Overpartition._trusted, level[n]))
 
 
 def count_overpartitions(n: int, constraint: Constraint = Constraint()) -> int:
@@ -198,10 +219,20 @@ def count_overpartitions(n: int, constraint: Constraint = Constraint()) -> int:
     Walks all restricted partitions (no overlines) and multiplies the number
     of admissible overline choices per distinct size: 2 normally; if the
     non-overlined copies of a size are forbidden, only the single-overlined
-    configuration survives.
+    configuration survives.  The walk's memo, keyed by (weight left, largest
+    size allowed), is independent of n, so each constraint keeps one memo
+    for all calls, and the counts of a lemma grid reuse each other's
+    subtotals.
     """
     if n < 0:
         raise OverpartitionError(f"n must be >= 0, got {n}")
+    return _count_walk(constraint)(n, n)
+
+
+# Unbounded: the lemma grids use at most 4 constraints per k, and a memo
+# filled up to weight n holds at most n^2 entries.
+@lru_cache(maxsize=None)
+def _count_walk(constraint: Constraint) -> Callable[[int, int], int]:
     memo: dict[tuple[int, int], int] = {}
 
     def walk(remaining: int, max_size: int) -> int:
@@ -226,7 +257,7 @@ def count_overpartitions(n: int, constraint: Constraint = Constraint()) -> int:
         memo[key] = total
         return total
 
-    return walk(n, n)
+    return walk
 
 
 _PLAIN_ONE = ((1, False),)
@@ -250,39 +281,42 @@ def _as_ones(over: bool, weight: int) -> tuple[Part, ...]:
     return _PLAIN_ONE * weight
 
 
-def _f2(op: Overpartition) -> SplitPair:
-    """f2 on an overpartition of positive weight, k-regular with no plain 2."""
-    parts = op.parts
+def _f2_parts(parts: tuple[Part, ...]) -> tuple[tuple[Part, ...], tuple[Part, ...]]:
+    """f2 on the parts of an overpartition of positive weight, k-regular
+    with no plain 2; returns the (left, right) image parts."""
     rest, r, s = _split_trailing_ones(parts)
-    trusted = Overpartition._trusted
     if s >= 1:
-        return SplitPair(trusted(parts[:-1]), ONE)
+        return parts[:-1], ONE.parts
     if r == 1:  # s == 0: drop the overlined 1
-        return SplitPair(trusted(rest), ONE_OVER)
+        return rest, ONE_OVER.parts
     size, over = rest[-1]
-    return SplitPair(trusted(rest[:-1] + _as_ones(over, size - 1)), ONE_OVER)
+    return rest[:-1] + _as_ones(over, size - 1), ONE_OVER.parts
 
 
-def _f3(op: Overpartition) -> SplitPair:
-    """f3 on an overpartition of weight >= 2, k-regular with no plain 2."""
-    parts = op.parts
+def _f3_parts(parts: tuple[Part, ...]) -> tuple[tuple[Part, ...], tuple[Part, ...]]:
+    """f3 on the parts of an overpartition of weight >= 2, k-regular with
+    no plain 2; returns the (left, right) image parts."""
     rest, r, s = _split_trailing_ones(parts)
-    trusted = Overpartition._trusted
     if s >= 2:
-        return SplitPair(trusted(parts[:-2]), TWO)
+        return parts[:-2], TWO.parts
     if s == 1 and r == 1:
-        return SplitPair(trusted(rest), TWO_OVER)
+        return rest, TWO_OVER.parts
 
     size, over = rest[-1]
     head = rest[:-1]
     if s == 1:  # r == 0; the lone plain 1 is also consumed
-        return SplitPair(trusted(head + _as_ones(over, size - 1)), ONE_ONE)
+        return head + _as_ones(over, size - 1), ONE_ONE.parts
     if r == 0:  # s == 0
         if (size, over) == (2, True):
-            return SplitPair(trusted(head), ONE_ONE)
-        return SplitPair(trusted(head + _as_ones(over, size - 2)), OVER1_ONE)
+            return head, ONE_ONE.parts
+        return head + _as_ones(over, size - 2), OVER1_ONE.parts
     # s == 0, r == 1
-    return SplitPair(trusted(head + _as_ones(over, size - 1)), TWO_OVER)
+    return head + _as_ones(over, size - 1), TWO_OVER.parts
+
+
+def _split_pair(split, op: Overpartition) -> SplitPair:
+    left, right = split(op.parts)
+    return SplitPair(Overpartition._trusted(left), Overpartition._trusted(right))
 
 
 def _check_no_plain_two(op: Overpartition, k: int, min_weight: int) -> None:
@@ -296,24 +330,25 @@ def _check_no_plain_two(op: Overpartition, k: int, min_weight: int) -> None:
 def f2_map(op: Overpartition, k: int) -> SplitPair:
     """Split an overpartition of a+1 with no plain 2's into (weight a, weight 1)."""
     _check_no_plain_two(op, k, 1)
-    return _f2(op)
+    return _split_pair(_f2_parts, op)
 
 
 def f3_map(op: Overpartition, k: int) -> SplitPair:
     """Split an overpartition of a+2 with no plain 2's into (weight a, weight 2)."""
     _check_no_plain_two(op, k, 2)
-    return _f3(op)
+    return _split_pair(_f3_parts, op)
 
 
 class _SingleSided(NamedTuple):
-    """A lemma that splits off a fixed right weight ``b`` with ``split``.
+    """A lemma that splits off a fixed right weight ``b`` with ``split``,
+    which maps a domain element's parts to its (left, right) image parts.
 
     Its stated witness is the first codomain element (mu; right) whose mu,
     as ``_split_trailing_ones`` gives (rest, r, s), has ``shape``.
     """
 
     b: int
-    split: Callable[[Overpartition], SplitPair]
+    split: Callable[[tuple[Part, ...]], tuple[tuple[Part, ...], tuple[Part, ...]]]
     right: Overpartition
     shape: Callable[[tuple[Part, ...], int, int], bool]
 
@@ -321,10 +356,10 @@ class _SingleSided(NamedTuple):
 _SINGLE_SIDED = {
     # (mu; 1~), mu with one plain 1 below a larger part and no overlined 1
     "2.2": _SingleSided(
-        1, _f2, ONE_OVER, lambda rest, r, s: r == 0 and s == 1 and bool(rest)
+        1, _f2_parts, ONE_OVER, lambda rest, r, s: r == 0 and s == 1 and bool(rest)
     ),
     # (mu; 1~,1), mu free of size-1 parts
-    "2.3": _SingleSided(2, _f3, OVER1_ONE, lambda rest, r, s: r == s == 0),
+    "2.3": _SingleSided(2, _f3_parts, OVER1_ONE, lambda rest, r, s: r == s == 0),
 }
 _TWO_SIDED = ("2.1", "2.4")
 
@@ -491,35 +526,39 @@ class VerificationReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        row = dict(vars(self))
+        row["notes"] = list(self.notes)
+        return row
 
 
 def _check_images(
     report: VerificationReport,
-    pairs: list[tuple[Overpartition, SplitPair]],
+    images: Iterable[tuple[Overpartition, tuple[Part, ...], tuple[Part, ...]]],
     left_constraint: Constraint,
     right_constraint: Constraint,
     a: int,
     b: int,
 ) -> dict:
-    """Record weight, codomain and collision violations of the images on
-    ``report``; return the images, keyed by (left parts, right parts)."""
+    """Record weight, codomain and collision violations of ``images``, given
+    as (source, left parts, right parts), on ``report``; return the images,
+    keyed by (left parts, right parts)."""
+    left_ok = left_constraint.allowed_parts(a).issuperset
+    right_ok = right_constraint.allowed_parts(b).issuperset
+    size = itemgetter(0)
     seen = {}
     injective = True
     codomain_ok = True
-    for src, pair in pairs:
-        if pair.left.weight != a or pair.right.weight != b:
+    for src, left, right in images:
+        if sum(map(size, left)) != a or sum(map(size, right)) != b:
             report.notes.append(f"weight violation at {src}")
             codomain_ok = False
-        elif not left_constraint.satisfied_by(pair.left) or not (
-            right_constraint.satisfied_by(pair.right)
-        ):
+        elif not (left_ok(left) and right_ok(right)):
             # distinctness of images is still meaningful even when an image
             # falls outside the stated codomain (happens for k=2, where the
             # split-off part 2 is itself divisible by k)
             report.notes.append(f"codomain violation at {src}")
             codomain_ok = False
-        key = (pair.left.parts, pair.right.parts)
+        key = (left, right)
         if key in seen:
             report.notes.append(f"collision: {seen[key]} and {src}")
             injective = False
@@ -591,18 +630,22 @@ def verify_lemma(
     report = VerificationReport(lemma_id, k, a, b, lhs, rhs, strict, holds)
 
     if single is not None:
+        split = single.split
         domain = enumerate_overpartitions(a + b, whole)
-        pairs = [(op, single.split(op)) for op in domain]
-        images = _check_images(report, pairs, left, right, a, b)
+        images = _check_images(
+            report, ((op, *split(op.parts)) for op in domain), left, right, a, b
+        )
         report.unattained_witness = _witness(single, a, no2, images, report.notes)
     elif lemma_id == "2.1" and k >= 5:
-        pairs = []
+        images = []
         for op in enumerate_overpartitions(a + b, whole):
             try:
-                pairs.append((op, f1_map(op, k, a, b)))
+                pair = f1_map(op, k, a, b)
             except UnsupportedCaseError:
                 report.unsupported += 1
-        _check_images(report, pairs, left, right, a, b)
+                continue
+            images.append((op, pair.left.parts, pair.right.parts))
+        _check_images(report, images, left, right, a, b)
         if report.unsupported:
             report.mode = "map+cardinality"
     else:

@@ -2,16 +2,19 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
+from regover import combinatorics
 from regover.combinatorics import (
     Constraint,
     Overpartition,
     OverpartitionError,
     UnsupportedCaseError,
-    _f2,
-    _f3,
+    _count_walk,
+    _f2_parts,
+    _f3_parts,
     count_overpartitions,
     enumerate_overpartitions,
     f1_map,
@@ -193,22 +196,119 @@ class TestF3:
 
 
 class TestTrustedImages:
-    # f2/f3 build their images without sorting or validating; the validating
-    # constructor must leave every such image exactly as it is
+    # f2/f3 build their image parts without sorting or validating; the
+    # validating constructor must leave every such image exactly as it is
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize(
         "weight_shift,internal,public",
-        [(1, _f2, f2_map), (2, _f3, f3_map)],
+        [(1, _f2_parts, f2_map), (2, _f3_parts, f3_map)],
         ids=["f2", "f3"],
     )
     def test_images_canonical(self, k, weight_shift, internal, public):
         no2 = Constraint(k_regular=k, forbid_twos=True)
         for a in range(1, 15):
             for o in enumerate_overpartitions(a + weight_shift, no2):
-                pair = internal(o)
-                for img in (pair.left, pair.right):
-                    assert Overpartition(img.parts).parts == img.parts, (o, img)
-                assert pair == public(o, k)
+                images = internal(o.parts)
+                for img in images:
+                    assert Overpartition(img).parts == img, (o, img)
+                pair = public(o, k)
+                assert (pair.left.parts, pair.right.parts) == images
+
+
+class TestImageChecks:
+    # verify_lemma must report each class of faulty map: a single-sided
+    # lemma's map is replaced by one that is wrong on exactly one source
+    K, A = 3, 6
+
+    def _verify_with(self, monkeypatch, lemma_id, fault):
+        row = combinatorics._SINGLE_SIDED[lemma_id]
+        no2 = Constraint(k_regular=self.K, forbid_twos=True)
+        domain = enumerate_overpartitions(self.A + row.b, no2)
+        first, second = domain[0], domain[1]
+
+        def faulty(parts):
+            left, right = row.split(parts)
+            if parts == second.parts:
+                return fault(first, left, right)
+            return left, right
+
+        monkeypatch.setitem(
+            combinatorics._SINGLE_SIDED, lemma_id, row._replace(split=faulty)
+        )
+        return verify_lemma(lemma_id, self.K, self.A), first, second
+
+    @pytest.mark.parametrize("lemma_id", ["2.2", "2.3"])
+    def test_faithful_map_is_clean(self, lemma_id):
+        rep = verify_lemma(lemma_id, self.K, self.A)
+        assert rep.injective and rep.codomain_ok and rep.notes == []
+
+    @pytest.mark.parametrize("lemma_id", ["2.2", "2.3"])
+    def test_collision_reported(self, monkeypatch, lemma_id):
+        # the second source is sent to the first source's image
+        split = combinatorics._SINGLE_SIDED[lemma_id].split
+        rep, first, second = self._verify_with(
+            monkeypatch, lemma_id, lambda first, left, right: split(first.parts)
+        )
+        assert rep.injective is False
+        assert rep.codomain_ok is True
+        assert rep.notes == [f"collision: {first} and {second}"]
+
+    @pytest.mark.parametrize("lemma_id", ["2.2", "2.3"])
+    def test_weight_violation_reported(self, monkeypatch, lemma_id):
+        # one plain 1 too many on the left
+        rep, _, second = self._verify_with(
+            monkeypatch,
+            lemma_id,
+            lambda first, left, right: (left + ((1, False),), right),
+        )
+        assert rep.codomain_ok is False
+        assert rep.injective is True
+        assert rep.notes == [f"weight violation at {second}"]
+
+    @pytest.mark.parametrize("overlined", [False, True])
+    @pytest.mark.parametrize("lemma_id", ["2.2", "2.3"])
+    def test_codomain_violation_reported(self, monkeypatch, lemma_id, overlined):
+        # a left image of the right weight a = 6 with the part k = 3
+        bad = ((self.K, overlined),) + ((1, False),) * (self.A - self.K)
+        rep, _, second = self._verify_with(
+            monkeypatch, lemma_id, lambda first, left, right: (bad, right)
+        )
+        assert rep.codomain_ok is False
+        assert rep.injective is True
+        assert rep.notes == [f"codomain violation at {second}"]
+
+
+class TestCountMemo:
+    # count_overpartitions keeps one memo per constraint across calls; its
+    # answers must not depend on the order of the calls that filled it
+    N_MAX = 18
+    CONSTRAINTS = [
+        Constraint(k, no1, no2)
+        for k in KS
+        for no1, no2 in [(False, False), (True, False), (False, True), (True, True)]
+    ]
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        return {
+            (c, n): len(enumerate_overpartitions_oracle(n, c))
+            for c in self.CONSTRAINTS
+            for n in range(self.N_MAX + 1)
+        }
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+    def test_matches_oracle_in_any_order(self, expected, order):
+        ns = list(range(self.N_MAX + 1))
+        if order == "ascending":
+            calls = [(c, n) for c in self.CONSTRAINTS for n in ns]
+        elif order == "descending":
+            calls = [(c, n) for c in self.CONSTRAINTS for n in reversed(ns)]
+        else:
+            calls = list(expected)
+            random.Random(12).shuffle(calls)
+        _count_walk.cache_clear()
+        for c, n in calls:
+            assert count_overpartitions(n, c) == expected[c, n], (c, n)
 
 
 class TestF1:
@@ -364,3 +464,4 @@ def test_report_serialization():
         "codomain_ok", "unattained_witness", "mode", "unsupported", "notes",
     ]
     assert json.loads(json.dumps(data)) == data
+    assert data["notes"] == rep.notes and data["notes"] is not rep.notes
