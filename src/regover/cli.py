@@ -52,13 +52,13 @@ K_MIN, K_MAX = 2, 9
 #     87 MB, where keeping every row until the end took 62 s and 269 MB.
 #   * ``verify subadd`` checks about horizon²/4 pairs per k: horizon 2000
 #     takes 2.4 s and 3000 takes 4.9 s, both in 23 MB.
-#   * ``lemmas --id 2.3 --a-max 26`` takes 3.0–3.6 s and 51 MB, and each
+#   * ``lemmas --id 2.3 --a-max 26`` takes 3.4–3.9 s and 43 MB, and each
 #     step of a multiplies its time by about 1.3 and its memory by about
 #     1.15.  Mapping and checking each image takes most of it, enumerating
-#     the domains about a quarter.
-#   * ``lemmas --id 2.1 --total-max 20`` takes 3.5–4.8 s and 22 takes
-#     6.9–8.9 s, both in 21 MB; each step of total-max multiplies the time by
-#     about 1.4.  ``f1_map`` takes most of it.
+#     the domains about a fifth.
+#   * ``lemmas --id 2.1 --total-max 20`` takes 1.1–1.3 s and 22 takes
+#     1.7–1.9 s, both in 21 MB, with start-up; each step of total-max
+#     multiplies the time by about 1.3.
 N_MAX_CEILING = 50_000
 SUBADD_HORIZON_CEILING = 3_000
 A_MAX_CEILING = 26

@@ -1,10 +1,11 @@
-"""Overpartition objects, constrained enumeration, and the splitting injections.
+"""Overpartitions as canonical part tuples, constrained enumeration, and the
+splitting injections.
 
 An overpartition is a partition in which the first occurrence of each
 distinct part size may be overlined (Corteel and Lovejoy, *Overpartitions*,
-Trans. AMS 2004).  Canonical form stores parts in non-increasing size order
-with the overlined copy (if any) ahead of the non-overlined copies of the
-same size.
+Trans. AMS 2004).  Inside this module an overpartition is its canonical part
+tuple: (size, overlined) pairs in non-increasing size order, with the
+overlined copy (if any) ahead of the non-overlined copies of the same size.
 
 Restricted sets follow the convention forced by the splitting maps and the
 counting identities they certify:
@@ -20,36 +21,29 @@ a+b into a pair of smaller overpartitions; exhaustive enumeration checks
 injectivity and codomain membership, and explicit unattained codomain
 elements witness strictness of the count inequalities.
 
-Canonical tuples are built once and trusted inside this module.
-``Overpartition(parts)`` is the validating public boundary: it sorts the
-parts into canonical order and rejects non-positive sizes and repeated
-overlines.  :func:`enumerate_overpartitions` instead builds each canonical
-part tuple directly (a dynamic programme over part sizes in increasing
-order, each new largest size prepended as one block; cf. Knuth, TAOCP 4A,
-§7.2.1.4) and wraps it with the internal ``Overpartition._trusted``, which
-neither sorts nor validates.  The internal bodies ``_f2_parts`` and
-``_f3_parts`` map a canonical part tuple to its (left, right) image tuples,
-which stay canonical, since dropping trailing parts of a canonical tuple, or
-replacing its last part of size >= 2 by 1's, keeps it canonical.  The public
-``f2_map``/``f3_map`` wrap them in a ``SplitPair`` behind one shared
-precondition check (k-regular, no plain 2, least weight 1 resp. 2);
-``f1_map``, whose extra parts are not provably canonical, keeps the
-validating constructor.
+:func:`enumerate_overpartitions` builds each canonical tuple directly (a
+dynamic programme over part sizes in increasing order, each new largest size
+prepended as one block; cf. Knuth, TAOCP 4A, §7.2.1.4), and the map bodies
+``_f1_parts``, ``_f2_parts`` and ``_f3_parts`` take a canonical tuple to its
+(left, right) image tuples, which are canonical by construction (each body
+gives the argument).  ``Overpartition(parts)`` is the validating public
+boundary: it sorts the parts into canonical order and rejects non-positive
+sizes and repeated overlines.  The public ``f1_map``/``f2_map``/``f3_map``
+check that their input lies in the map's domain, apply the body and wrap the
+images in a ``SplitPair``.
 
-Trusting construction skips no verification.  :func:`verify_lemma` checks
-lemmas 2.2/2.3 on the raw image tuples, without building an object per
-image, and checks every image, of every lemma, for its weight (the sum of
-its part sizes), codomain membership and distinctness.  Membership is
-decided on the tuple too: a part tuple of weight w satisfies a constraint
-iff each of its parts is one of the (size, overline) pairs that
+:func:`verify_lemma` trusts none of that construction: it checks every image
+of every mapped lemma for its weight (the sum of its part sizes), codomain
+membership and distinctness.  A part tuple of weight w lies in a constraint's
+set iff each of its parts is one of the (size, overline) pairs that
 :meth:`Constraint.allowed_parts` gives for w, a set built once per grid
 point.  :func:`count_overpartitions` recounts every domain by its own walk
 over partitions, which shares nothing with the enumeration or the q-series;
 its memo is kept per constraint across calls.
 
-Each lemma is declared once: ``_SINGLE_SIDED`` gives the fixed b, map body
-and witness shape of lemmas 2.2/2.3, and one predicate gives lemma 2.4's
-range to both :func:`verify_lemma` and :func:`lemma_grid`.
+Each lemma is declared once, in ``_LEMMAS``: its fixed b, map body and
+witness shape, and one predicate gives lemma 2.4's range to both
+:func:`verify_lemma` and :func:`lemma_grid`.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 
 class OverpartitionError(ValueError):
@@ -69,17 +63,23 @@ class UnsupportedCaseError(OverpartitionError):
 
 
 Part = tuple[int, bool]  # (size, overlined)
+Parts = tuple[Part, ...]
 
 
-def _canonical(parts) -> tuple[Part, ...]:
+def _canonical(parts) -> Parts:
     return tuple(sorted(parts, key=lambda p: (-p[0], not p[1])))
+
+
+def _format(parts: Parts) -> str:
+    """The parts in order, an overlined size marked ``~``: ``(3~,3,1)``."""
+    return "(" + ",".join(f"{s}~" if o else str(s) for s, o in parts) + ")"
 
 
 @dataclass(frozen=True, slots=True)
 class Overpartition:
     """Canonical multiset of parts with per-size overline flags."""
 
-    parts: tuple[Part, ...]
+    parts: Parts
 
     def __post_init__(self):
         parts = _canonical((int(s), bool(o)) for s, o in self.parts)
@@ -93,36 +93,21 @@ class Overpartition:
                 seen_over.add(s)
         object.__setattr__(self, "parts", parts)
 
-    @classmethod
-    def _trusted(cls, parts: tuple[Part, ...]) -> "Overpartition":
-        """Wrap ``parts``, which must already be canonical and valid."""
-        op = object.__new__(cls)
-        _set_parts(op, parts)
-        return op
-
     @property
     def weight(self) -> int:
         return sum(map(itemgetter(0), self.parts))
 
     def __str__(self) -> str:
-        return (
-            "("
-            + ",".join(f"{s}~" if o else str(s) for s, o in self.parts)
-            + ")"
-        )
+        return _format(self.parts)
 
 
-_set_parts = Overpartition.parts.__set__  # the slot's setter bypasses frozen
-
-EMPTY = Overpartition(())
-
-# The fixed right-hand images of f2 and f3.
-ONE = Overpartition(((1, False),))
-ONE_OVER = Overpartition(((1, True),))
-TWO = Overpartition(((2, False),))
-TWO_OVER = Overpartition(((2, True),))
-ONE_ONE = Overpartition(((1, False), (1, False)))
-OVER1_ONE = Overpartition(((1, True), (1, False)))
+# The single parts the maps split off or add.
+ONE = ((1, False),)
+ONE_OVER = ((1, True),)
+TWO = ((2, False),)
+TWO_OVER = ((2, True),)
+ONE_ONE = ONE + ONE
+OVER1_ONE = ONE_OVER + ONE
 
 
 @dataclass(frozen=True)
@@ -160,15 +145,6 @@ class Constraint:
             + [(s, False) for s in range(1, max_size + 1) if self.allows_plain(s)]
         )
 
-    def satisfied_by(self, op: Overpartition) -> bool:
-        k, no1, no2 = self.k_regular, self.forbid_ones, self.forbid_twos
-        for s, o in op.parts:
-            if k is not None and s % k == 0:
-                return False
-            if not o and ((s == 1 and no1) or (s == 2 and no2)):
-                return False
-        return True
-
 
 @dataclass(frozen=True, slots=True)
 class SplitPair:
@@ -182,8 +158,9 @@ class SplitPair:
 @lru_cache(maxsize=32)
 def enumerate_overpartitions(
     n: int, constraint: Constraint = Constraint()
-) -> tuple[Overpartition, ...]:
-    """All overpartitions of n satisfying the constraint, ordered by parts."""
+) -> tuple[Parts, ...]:
+    """The canonical part tuples of all overpartitions of n satisfying the
+    constraint, in increasing order."""
     if n < 0:
         raise OverpartitionError(f"n must be >= 0, got {n}")
     # level[w]: canonical part tuples of weight w using the sizes seen so far,
@@ -193,7 +170,7 @@ def enumerate_overpartitions(
     # s~ s^(m-1) by m, so each level stays sorted without a sort.  After size
     # s only level[n] and the weights w <= n-s-1 are kept up to date: a
     # later, larger part leaves at most n-s-1 for the rest.
-    level: list[list[tuple[Part, ...]]] = [[] for _ in range(n + 1)]
+    level: list[list[Parts]] = [[] for _ in range(n + 1)]
     level[0].append(())
     for s in range(1, n + 1):
         if not constraint.allows_size(s):
@@ -210,7 +187,7 @@ def enumerate_overpartitions(
             for hw, head in heads:
                 if hw <= w:
                     grown.extend([head + rest for rest in level[w - hw]])
-    return tuple(map(Overpartition._trusted, level[n]))
+    return tuple(level[n])
 
 
 def count_overpartitions(n: int, constraint: Constraint = Constraint()) -> int:
@@ -260,11 +237,7 @@ def _count_walk(constraint: Constraint) -> Callable[[int, int], int]:
     return walk
 
 
-_PLAIN_ONE = ((1, False),)
-_OVER_ONE = ((1, True),)
-
-
-def _split_trailing_ones(parts: tuple[Part, ...]):
+def _split_trailing_ones(parts: Parts):
     """Decompose canonical parts as (parts of size >= 2, overlined-1 flag r,
     plain-1 count s); the size-1 parts form the tail, overlined one first."""
     i = len(parts)
@@ -274,119 +247,136 @@ def _split_trailing_ones(parts: tuple[Part, ...]):
     return parts[:i], r, len(parts) - i - r
 
 
-def _as_ones(over: bool, weight: int) -> tuple[Part, ...]:
+def _as_ones(over: bool, weight: int) -> Parts:
     """Canonical 1's of total ``weight``, the first one overlined if ``over``."""
     if over:
-        return _OVER_ONE + _PLAIN_ONE * (weight - 1)
-    return _PLAIN_ONE * weight
+        return ONE_OVER + ONE * (weight - 1)
+    return ONE * weight
 
 
-def _f2_parts(parts: tuple[Part, ...]) -> tuple[tuple[Part, ...], tuple[Part, ...]]:
+def _f1_parts(parts: Parts, k: int, b: int) -> tuple[Parts, Parts]:
+    """f1 on the parts of an overpartition of weight a + b, a, b >= 1, for
+    k >= 5, k-regular with no plain 1's or 2's; returns the (left, right)
+    image parts.
+
+    The split part lambda_i is the last one whose tail lambda_i..lambda_t
+    reaches b.  Its slack y = tail - b stays left, and x = lambda_i - y >= 1
+    plain 1's go right after lambda_(i+1)..lambda_t, which holds no plain 1,
+    so the right image is canonical.  The left image is lambda_1..lambda_(i-1)
+    followed by parts in canonical order, each smaller than every part
+    before them, so it is canonical too:
+
+      * y = 0: both images are slices of the input.
+      * y = 1, lambda_i overlined: 1~ < lambda_i.
+      * y = 1, lambda_i plain: lambda_(i-1) = s1 >= lambda_i >= 3 is replaced
+        as well (the rule is open when i = 1), by s1 - k >= 2 (if s1 >= k+2),
+        2's and possibly a 1~, all below s1.
+      * y = k: m, m for k = 2m; m+1, m for k = 2m+1, or 2's and a 1~ if
+        lambda_i = k + 1; all below k < lambda_i.
+      * y a multiple of k, y >= 2k, j = lambda_i mod k: y - (k - j) and
+        k - j, where k - j <= k <= y - (k - j) < lambda_i; or y - 1 and 1~
+        if j = k - 1.
+      * otherwise: y < lambda_i.
+    """
+    i = len(parts)
+    tail = 0
+    while tail < b:
+        i -= 1
+        tail += parts[i][0]
+    size, over = parts[i]
+    y = tail - b
+    head = parts[:i]
+    right = parts[i + 1 :] + ONE * (size - y)
+    m = k // 2  # k = 2m (even) or 2m+1 (odd)
+
+    if y == 0:
+        return head, parts[i:]
+    if y == 1:
+        if over:
+            return head + ONE_OVER, right
+        if i == 0:
+            raise UnsupportedCaseError(
+                "y=1 with a plain leading part has no stated rule"
+            )
+        s1, o1 = parts[i - 1]
+        head = parts[: i - 1]
+        if s1 >= k + 2:
+            extra = ((s1 - k, o1),) + (TWO * (m + 1) if k % 2 else TWO * m + ONE_OVER)
+        elif s1 % 2 == 1:  # s1 = 2c+1 in [3, k+1]
+            c = (s1 - 1) // 2
+            extra = TWO_OVER + TWO * c if o1 else TWO * (c + 1)
+        else:  # s1 = 2c in [4, k+1]
+            c = s1 // 2
+            extra = (TWO_OVER + TWO * (c - 1) if o1 else TWO * c) + ONE_OVER
+        return head + extra, right
+    if y == k:
+        if k % 2 == 0:
+            return head + ((m, over), (m, False)), right
+        if size >= k + 2:
+            return head + ((m + 1, over), (m, False)), right
+        # size == k + 1 forces x == 1
+        extra = TWO_OVER + TWO * (m - 1) if over else TWO * m
+        return head + extra + ONE_OVER, right
+    if y % k == 0:  # y >= 2k
+        j = size % k
+        if j <= k - 2:
+            return head + ((y - (k - j), over), (k - j, False)), right
+        return head + ((y - 1, over), (1, True)), right
+    # y = 1 (mod k) with y >= k+1, or residue in 2..k-1 with y >= 2: move the
+    # slack into the left as a single part, keeping the overline
+    return head + ((y, over),), right
+
+
+def _f2_parts(parts: Parts) -> tuple[Parts, Parts]:
     """f2 on the parts of an overpartition of positive weight, k-regular
-    with no plain 2; returns the (left, right) image parts."""
+    with no plain 2; returns the (left, right) image parts.  Dropping
+    trailing parts of a canonical tuple, or replacing its last part of size
+    >= 2 by 1's, keeps it canonical."""
     rest, r, s = _split_trailing_ones(parts)
     if s >= 1:
-        return parts[:-1], ONE.parts
+        return parts[:-1], ONE
     if r == 1:  # s == 0: drop the overlined 1
-        return rest, ONE_OVER.parts
+        return rest, ONE_OVER
     size, over = rest[-1]
-    return rest[:-1] + _as_ones(over, size - 1), ONE_OVER.parts
+    return rest[:-1] + _as_ones(over, size - 1), ONE_OVER
 
 
-def _f3_parts(parts: tuple[Part, ...]) -> tuple[tuple[Part, ...], tuple[Part, ...]]:
+def _f3_parts(parts: Parts) -> tuple[Parts, Parts]:
     """f3 on the parts of an overpartition of weight >= 2, k-regular with
-    no plain 2; returns the (left, right) image parts."""
+    no plain 2; returns the (left, right) image parts, canonical as in
+    ``_f2_parts``."""
     rest, r, s = _split_trailing_ones(parts)
     if s >= 2:
-        return parts[:-2], TWO.parts
+        return parts[:-2], TWO
     if s == 1 and r == 1:
-        return rest, TWO_OVER.parts
+        return rest, TWO_OVER
 
     size, over = rest[-1]
     head = rest[:-1]
     if s == 1:  # r == 0; the lone plain 1 is also consumed
-        return head + _as_ones(over, size - 1), ONE_ONE.parts
+        return head + _as_ones(over, size - 1), ONE_ONE
     if r == 0:  # s == 0
         if (size, over) == (2, True):
-            return head, ONE_ONE.parts
-        return head + _as_ones(over, size - 2), OVER1_ONE.parts
+            return head, ONE_ONE
+        return head + _as_ones(over, size - 2), OVER1_ONE
     # s == 0, r == 1
-    return head + _as_ones(over, size - 1), TWO_OVER.parts
+    return head + _as_ones(over, size - 1), TWO_OVER
 
 
-def _split_pair(split, op: Overpartition) -> SplitPair:
-    left, right = split(op.parts)
-    return SplitPair(Overpartition._trusted(left), Overpartition._trusted(right))
-
-
-def _check_no_plain_two(op: Overpartition, k: int, min_weight: int) -> None:
-    """Reject ``op`` unless it is k-regular, has no plain 2 and weight >= min_weight."""
-    if not Constraint(k_regular=k, forbid_twos=True).satisfied_by(op):
-        raise OverpartitionError(f"{op} is not {k}-regular with no 2's")
-    if op.weight < min_weight:
+def _split(
+    op: Overpartition, domain: Constraint, min_weight: int, body, *args
+) -> SplitPair:
+    """Apply the map ``body`` to the parts of ``op``, which must lie in
+    ``domain``'s set with weight >= ``min_weight``, and wrap the images."""
+    weight = op.weight
+    if not domain.allowed_parts(weight).issuperset(op.parts):
+        banned = "no 1's and no 2's" if domain.forbid_ones else "no 2's"
+        k = domain.k_regular
+        raise OverpartitionError(f"{op} is not {k}-regular with {banned}")
+    if weight < min_weight:
         raise OverpartitionError(f"domain requires weight >= {min_weight}")
-
-
-def f2_map(op: Overpartition, k: int) -> SplitPair:
-    """Split an overpartition of a+1 with no plain 2's into (weight a, weight 1)."""
-    _check_no_plain_two(op, k, 1)
-    return _split_pair(_f2_parts, op)
-
-
-def f3_map(op: Overpartition, k: int) -> SplitPair:
-    """Split an overpartition of a+2 with no plain 2's into (weight a, weight 2)."""
-    _check_no_plain_two(op, k, 2)
-    return _split_pair(_f3_parts, op)
-
-
-class _SingleSided(NamedTuple):
-    """A lemma that splits off a fixed right weight ``b`` with ``split``,
-    which maps a domain element's parts to its (left, right) image parts.
-
-    Its stated witness is the first codomain element (mu; right) whose mu,
-    as ``_split_trailing_ones`` gives (rest, r, s), has ``shape``.
-    """
-
-    b: int
-    split: Callable[[tuple[Part, ...]], tuple[tuple[Part, ...], tuple[Part, ...]]]
-    right: Overpartition
-    shape: Callable[[tuple[Part, ...], int, int], bool]
-
-
-_SINGLE_SIDED = {
-    # (mu; 1~), mu with one plain 1 below a larger part and no overlined 1
-    "2.2": _SingleSided(
-        1, _f2_parts, ONE_OVER, lambda rest, r, s: r == 0 and s == 1 and bool(rest)
-    ),
-    # (mu; 1~,1), mu free of size-1 parts
-    "2.3": _SingleSided(2, _f3_parts, OVER1_ONE, lambda rest, r, s: r == s == 0),
-}
-_TWO_SIDED = ("2.1", "2.4")
-
-
-def _in_lemma24_range(k: int, a: int, b: int) -> bool:
-    return b >= 3 and a + b >= k + 1
-
-
-def lemma_grid(
-    lemma_id: str, k: int, a_max: int, total_max: int
-) -> Iterator[tuple[int, int]]:
-    """Yield the (a, b) points of one k's lemma sweep, in sweep order.
-
-    Lemmas 2.2/2.3 run a = 1..a_max at their fixed b.  Lemmas 2.1/2.4 run
-    every a, b >= 1 with a + b <= total_max, lemma 2.4 only inside its range.
-    """
-    single = _SINGLE_SIDED.get(lemma_id)
-    if single is not None:
-        for a in range(1, a_max + 1):
-            yield a, single.b
-        return
-    if lemma_id not in _TWO_SIDED:
-        raise OverpartitionError(f"unknown lemma id {lemma_id!r}")
-    for a in range(1, total_max):
-        for b in range(1, total_max + 1 - a):
-            if lemma_id == "2.1" or _in_lemma24_range(k, a, b):
-                yield a, b
+    left, right = body(op.parts, *args)
+    return SplitPair(Overpartition(left), Overpartition(right))
 
 
 def f1_map(op: Overpartition, k: int, a: int, b: int) -> SplitPair:
@@ -402,108 +392,83 @@ def f1_map(op: Overpartition, k: int, a: int, b: int) -> SplitPair:
         raise UnsupportedCaseError(f"split rules unavailable for k={k}")
     if a < 1 or b < 1:
         raise OverpartitionError("need a, b >= 1")
-    c = Constraint(k_regular=k, forbid_ones=True, forbid_twos=True)
-    if not c.satisfied_by(op):
-        raise OverpartitionError(f"{op} is not {k}-regular with no 1's and no 2's")
     if op.weight != a + b:
         raise OverpartitionError(f"weight {op.weight} != a+b = {a + b}")
+    no12 = Constraint(k_regular=k, forbid_ones=True, forbid_twos=True)
+    return _split(op, no12, a + b, _f1_parts, k, b)
 
-    ps = list(op.parts)
-    t = len(ps)
-    # i = max{j : lambda_j + ... + lambda_t >= b}  (1-based)
-    tail = 0
-    i = 1
-    for j in range(t, 0, -1):
-        tail += ps[j - 1][0]
-        if tail >= b:
-            i = j
-            break
-    tail_after = sum(s for s, _ in ps[i:])
-    x = b - tail_after
-    size_i, over_i = ps[i - 1]
-    y = size_i - x
-    assert x >= 1 and 0 <= y < size_i
 
-    even = k % 2 == 0
-    m = k // 2  # k = 2m (even) or 2m+1 (odd)
+def f2_map(op: Overpartition, k: int) -> SplitPair:
+    """Split an overpartition of a+1 with no plain 2's into (weight a, weight 1)."""
+    return _split(op, Constraint(k_regular=k, forbid_twos=True), 1, _f2_parts)
 
-    prefix = tuple(ps[: i - 1])
-    suffix = tuple(ps[i:])
-    right_x = Overpartition(suffix + _PLAIN_ONE * x)
 
-    def left(*extra: Part) -> Overpartition:
-        return Overpartition(prefix + tuple(extra))
+def f3_map(op: Overpartition, k: int) -> SplitPair:
+    """Split an overpartition of a+2 with no plain 2's into (weight a, weight 2)."""
+    return _split(op, Constraint(k_regular=k, forbid_twos=True), 2, _f3_parts)
 
-    def left_repl(*extra: Part) -> Overpartition:
-        # drop lambda_{i-1} as well; used by the y=1 plain-lambda_i cases
-        return Overpartition(tuple(ps[: i - 2]) + tuple(extra))
 
-    # even-k overrides
-    if even and y == k:
-        if over_i:
-            return SplitPair(left((m, True), (m, False)), right_x)
-        return SplitPair(left((m, False), (m, False)), right_x)
-    if (
-        even
-        and y == 1
-        and not over_i
-        and i >= 2
-        and ps[i - 2][0] >= k + 2
-    ):
-        s1, o1 = ps[i - 2]
-        extra = ((s1 - k, o1),) + tuple([(2, False)] * m) + ((1, True),)
-        return SplitPair(left_repl(*extra), right_x)
+class _Lemma(NamedTuple):
+    """One splitting lemma.  ``b`` is its fixed right weight, or None if it
+    runs over every b.  For k >= ``k_min``, ``split`` maps a domain element's
+    parts, given k and b, to its (left, right) image parts; without a split
+    the lemma is checked by cardinality only.
 
-    if y == 0:
-        return SplitPair(
-            Overpartition(prefix), Overpartition(((size_i, over_i),) + suffix)
-        )
+    A lemma with a ``right`` part states a witness: the first codomain
+    element (mu; right) whose mu, as ``_split_trailing_ones`` gives
+    (rest, r, s), has ``shape``.
+    """
 
-    if y == 1:
-        if over_i:
-            return SplitPair(left((1, True)), right_x)
-        if i < 2:
-            raise UnsupportedCaseError(
-                "y=1 with a plain leading part has no stated rule"
-            )
-        s1, o1 = ps[i - 2]
-        if s1 >= k + 2:
-            extra = ((s1 - k, o1),) + tuple([(2, False)] * (m + 1))
-        elif s1 % 2 == 1:  # s1 = 2c+1 in [3, k+1]
-            cc = (s1 - 1) // 2
-            if o1:
-                extra = ((2, True),) + tuple([(2, False)] * cc)
-            else:
-                extra = tuple([(2, False)] * (cc + 1))
-        else:  # s1 = 2c in [4, k+1]
-            cc = s1 // 2
-            if o1:
-                extra = ((2, True),) + tuple([(2, False)] * (cc - 1)) + ((1, True),)
-            else:
-                extra = tuple([(2, False)] * cc) + ((1, True),)
-        return SplitPair(left_repl(*extra), right_x)
+    b: Optional[int]
+    split: Optional[Callable[[Parts, int, int], tuple[Parts, Parts]]]
+    right: Optional[Parts] = None
+    shape: Optional[Callable[[Parts, int, int], bool]] = None
+    k_min: int = 2
 
-    if y == k:  # odd k here; even k handled above
-        if size_i >= k + 2:
-            return SplitPair(left((m + 1, over_i), (m, False)), right_x)
-        # size_i == k+1 forces x == 1
-        assert x == 1, "split slack must be 1 when the split part is k+1"
-        right_one = Overpartition(suffix + ((1, False),))
-        if over_i:
-            extra = ((2, True),) + tuple([(2, False)] * (m - 1)) + ((1, True),)
-        else:
-            extra = tuple([(2, False)] * m) + ((1, True),)
-        return SplitPair(left(*extra), right_one)
 
-    if y % k == 0:  # y >= 2k
-        j = size_i % k
-        if j <= k - 2:
-            return SplitPair(left((y - (k - j), over_i), (k - j, False)), right_x)
-        return SplitPair(left((y - 1, over_i), (1, True)), right_x)
+_LEMMAS = {
+    "2.1": _Lemma(None, _f1_parts, k_min=5),
+    # (mu; 1~), mu with one plain 1 below a larger part and no overlined 1
+    "2.2": _Lemma(
+        1,
+        lambda parts, k, b: _f2_parts(parts),
+        ONE_OVER,
+        lambda rest, r, s: r == 0 and s == 1 and bool(rest),
+    ),
+    # (mu; 1~,1), mu free of size-1 parts
+    "2.3": _Lemma(
+        2,
+        lambda parts, k, b: _f3_parts(parts),
+        OVER1_ONE,
+        lambda rest, r, s: r == s == 0,
+    ),
+    "2.4": _Lemma(None, None),
+}
 
-    # y ≡ 1 (mod k) with y >= k+1, or residue in 2..k-1 with y >= 2:
-    # move the slack into the left as a single part, keeping the overline
-    return SplitPair(left((y, over_i)), right_x)
+
+def _in_lemma24_range(k: int, a: int, b: int) -> bool:
+    return b >= 3 and a + b >= k + 1
+
+
+def lemma_grid(
+    lemma_id: str, k: int, a_max: int, total_max: int
+) -> Iterator[tuple[int, int]]:
+    """Yield the (a, b) points of one k's lemma sweep, in sweep order.
+
+    Lemmas 2.2/2.3 run a = 1..a_max at their fixed b.  Lemmas 2.1/2.4 run
+    every a, b >= 1 with a + b <= total_max, lemma 2.4 only inside its range.
+    """
+    lemma = _LEMMAS.get(lemma_id)
+    if lemma is None:
+        raise OverpartitionError(f"unknown lemma id {lemma_id!r}")
+    if lemma.b is not None:
+        for a in range(1, a_max + 1):
+            yield a, lemma.b
+        return
+    for a in range(1, total_max):
+        for b in range(1, total_max + 1 - a):
+            if lemma_id == "2.1" or _in_lemma24_range(k, a, b):
+                yield a, b
 
 
 @dataclass
@@ -533,34 +498,40 @@ class VerificationReport:
 
 def _check_images(
     report: VerificationReport,
-    images: Iterable[tuple[Overpartition, tuple[Part, ...], tuple[Part, ...]]],
+    split: Callable[[Parts, int, int], tuple[Parts, Parts]],
+    domain: tuple[Parts, ...],
     left_constraint: Constraint,
     right_constraint: Constraint,
-    a: int,
-    b: int,
 ) -> dict:
-    """Record weight, codomain and collision violations of ``images``, given
-    as (source, left parts, right parts), on ``report``; return the images,
-    keyed by (left parts, right parts)."""
+    """Map each element of ``domain`` by ``split`` at the report's k and b,
+    and record on ``report`` the elements the map leaves open and its weight,
+    codomain and collision violations; return the images, keyed by
+    (left, right) and giving their source."""
+    k, a, b = report.k, report.a, report.b
     left_ok = left_constraint.allowed_parts(a).issuperset
     right_ok = right_constraint.allowed_parts(b).issuperset
     size = itemgetter(0)
     seen = {}
     injective = True
     codomain_ok = True
-    for src, left, right in images:
+    for src in domain:
+        try:
+            left, right = split(src, k, b)
+        except UnsupportedCaseError:
+            report.unsupported += 1
+            continue
         if sum(map(size, left)) != a or sum(map(size, right)) != b:
-            report.notes.append(f"weight violation at {src}")
+            report.notes.append(f"weight violation at {_format(src)}")
             codomain_ok = False
         elif not (left_ok(left) and right_ok(right)):
             # distinctness of images is still meaningful even when an image
             # falls outside the stated codomain (happens for k=2, where the
             # split-off part 2 is itself divisible by k)
-            report.notes.append(f"codomain violation at {src}")
+            report.notes.append(f"codomain violation at {_format(src)}")
             codomain_ok = False
         key = (left, right)
         if key in seen:
-            report.notes.append(f"collision: {seen[key]} and {src}")
+            report.notes.append(f"collision: {_format(seen[key])} and {_format(src)}")
             injective = False
         seen[key] = src
     report.injective = injective
@@ -569,18 +540,19 @@ def _check_images(
 
 
 def _witness(
-    single: _SingleSided, a: int, no2: Constraint, images: dict, notes: list[str]
+    lemma: _Lemma, a: int, no2: Constraint, images: dict, notes: list[str]
 ) -> Optional[str]:
     """The first element (mu; right) of the stated shape: never attained by
     the map.  None if no element has that shape, or if the map attains one
     (which contradicts the construction; noted)."""
-    right = single.right
+    right = lemma.right
     for mu in enumerate_overpartitions(a, no2):
-        if single.shape(*_split_trailing_ones(mu.parts)):
-            if (mu.parts, right.parts) in images:
-                notes.append(f"stated witness attained: ({mu}; {right})")
+        if lemma.shape(*_split_trailing_ones(mu)):
+            witness = f"({_format(mu)}; {_format(right)})"
+            if (mu, right) in images:
+                notes.append(f"stated witness attained: {witness}")
                 return None
-            return f"({mu}; {right})"
+            return witness
     return None
 
 
@@ -595,20 +567,20 @@ def verify_lemma(
     Lemma 2.1 compares no-plain-1 x no-plain-2 pairs with no-plain-1-or-2
     overpartitions of a+b (weakly), every other lemma no-plain-2 x free pairs
     with no-plain-2 overpartitions of a+b (strictly).  Lemma 2.1 is checked
-    through ``f1_map`` for k >= 5, lemmas 2.2/2.3 through their map and
-    witness, and the rest by cardinality.
+    through f1 for k >= 5 (elements f1 leaves open by cardinality), lemmas
+    2.2/2.3 through f2/f3 and their witness, and the rest by cardinality.
     """
     if k < 2:
         raise OverpartitionError(f"k must be >= 2, got {k}")
     if a < 1:
         raise OverpartitionError(f"a must be >= 1, got {a}")
-    single = _SINGLE_SIDED.get(lemma_id)
-    if single is not None:
-        b = single.b if b is None else b
-        if b != single.b:
-            raise OverpartitionError(f"lemma {lemma_id} fixes b = {single.b}")
-    elif lemma_id not in _TWO_SIDED:
+    lemma = _LEMMAS.get(lemma_id)
+    if lemma is None:
         raise OverpartitionError(f"unknown lemma id {lemma_id!r}")
+    if lemma.b is not None:
+        b = lemma.b if b is None else b
+        if b != lemma.b:
+            raise OverpartitionError(f"lemma {lemma_id} fixes b = {lemma.b}")
     elif b is None:
         raise OverpartitionError(f"lemma {lemma_id} needs explicit b")
     elif b < 1:
@@ -629,25 +601,13 @@ def verify_lemma(
     holds = lhs > rhs if strict else lhs >= rhs
     report = VerificationReport(lemma_id, k, a, b, lhs, rhs, strict, holds)
 
-    if single is not None:
-        split = single.split
-        domain = enumerate_overpartitions(a + b, whole)
-        images = _check_images(
-            report, ((op, *split(op.parts)) for op in domain), left, right, a, b
-        )
-        report.unattained_witness = _witness(single, a, no2, images, report.notes)
-    elif lemma_id == "2.1" and k >= 5:
-        images = []
-        for op in enumerate_overpartitions(a + b, whole):
-            try:
-                pair = f1_map(op, k, a, b)
-            except UnsupportedCaseError:
-                report.unsupported += 1
-                continue
-            images.append((op, pair.left.parts, pair.right.parts))
-        _check_images(report, images, left, right, a, b)
-        if report.unsupported:
-            report.mode = "map+cardinality"
-    else:
+    if lemma.split is None or k < lemma.k_min:
         report.mode = "cardinality"
+        return report
+    domain = enumerate_overpartitions(a + b, whole)
+    images = _check_images(report, lemma.split, domain, left, right)
+    if report.unsupported:
+        report.mode = "map+cardinality"
+    if lemma.right is not None:
+        report.unattained_witness = _witness(lemma, a, no2, images, report.notes)
     return report

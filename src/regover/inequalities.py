@@ -96,20 +96,11 @@ def check_subadditivity(k: int, a: int, b: int) -> bool:
     return _subadditive(pk(k, a), pk(k, b), pk(k, a + b))
 
 
-@dataclass(frozen=True)
-class QRatio:
+def q_ratio(k: int, n: int) -> Fraction:
     """Exact ratio p(n-1) p(n+1) / p(n)^2."""
-
-    k: int
-    n: int
-    value: Fraction
-
-
-def q_ratio(k: int, n: int) -> QRatio:
     if n < 1:
         raise InequalityError(f"n must be >= 1, got {n}")
-    value = Fraction(pk(k, n - 1) * pk(k, n + 1), pk(k, n) ** 2)
-    return QRatio(k, n, value)
+    return Fraction(pk(k, n - 1) * pk(k, n + 1), pk(k, n) ** 2)
 
 
 def check_logconcave(k: int, n: int, strict: bool = True) -> bool:
@@ -266,7 +257,7 @@ def verify_q_containment(k: int, n: int, precision: Optional[int] = None) -> boo
     from .numerics import certify
 
     return certify(
-        q_ratio(k, n).value,
+        q_ratio(k, n),
         lambda prec: q_bounds(k, n, prec),
         precision,
         f"Q containment for k={k}, n={n}",

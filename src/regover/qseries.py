@@ -38,36 +38,6 @@ class SeriesError(ValueError):
 
 
 @dataclass(frozen=True)
-class IntegerSeries:
-    """Truncated power series with exact integer coefficients.
-
-    ``coeffs[n]`` is the coefficient of q^n; the truncation order is
-    ``len(coeffs) - 1``.  Instances are immutable and safe to share.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        coeffs = self.coeffs
-        if len(coeffs) == 0:
-            raise SeriesError("series needs at least a constant term")
-        # a tuple of Python ints (every table pk_series builds) is kept as is;
-        # anything else is copied into one
-        if type(coeffs) is not tuple or not set(map(type, coeffs)) <= {int}:
-            object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-@dataclass(frozen=True)
 class EtaQuotientSpec:
     """Exponent data (m_r, delta_r) for a finite product of Euler factors."""
 
@@ -114,8 +84,9 @@ def _overpartitions(order: int) -> list[int]:
     return table
 
 
-def pk_series(k: int, order: int) -> IntegerSeries:
-    """Series whose coefficient of q^n counts k-regular overpartitions of n."""
+def pk_series(k: int, order: int) -> tuple[int, ...]:
+    """Coefficients of q^0..q^order of the series whose coefficient of q^n
+    counts k-regular overpartitions of n."""
     if k < 2:
         raise SeriesError(f"k must be >= 2, got {k}")
     if order < 0:
@@ -126,13 +97,13 @@ def pk_series(k: int, order: int) -> IntegerSeries:
         e = k * j * j
         step = operator.sub if j % 2 else operator.add
         coeffs[e:] = map(step, coeffs[e:], doubled[: order + 1 - e])
-    return IntegerSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
-# Memoized coefficient tables, one per k, grown geometrically.  Callers run
+# Memoized coefficient tuples, one per k, grown geometrically.  Callers run
 # in one thread, so neither this cache nor the shared pbar table takes a
-# lock; completed series are immutable.
-_CACHE: dict[int, IntegerSeries] = {}
+# lock; completed tuples are immutable.
+_CACHE: dict[int, tuple[int, ...]] = {}
 
 
 def pk(k: int, n: int) -> int:
@@ -142,11 +113,11 @@ def pk(k: int, n: int) -> int:
     if n < 0:
         raise SeriesError(f"n must be >= 0, got {n}")
     cached = _CACHE.get(k)
-    if cached is None or cached.order < n:
-        target = max(n, 2 * (cached.order if cached else 0), 256)
+    if cached is None or len(cached) - 1 < n:
+        target = max(n, 2 * (len(cached) - 1 if cached else 0), 256)
         cached = pk_series(k, target)
         _CACHE[k] = cached
-    return cached.coeffs[n]
+    return cached[n]
 
 
 def warm_cache(k: int, order: int) -> tuple[int, ...]:
@@ -155,4 +126,4 @@ def warm_cache(k: int, order: int) -> tuple[int, ...]:
     Returns the memoized coefficient tuple, which may run past ``order``.
     """
     pk(k, order)
-    return _CACHE[k].coeffs
+    return _CACHE[k]

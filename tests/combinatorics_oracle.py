@@ -4,9 +4,10 @@ A recursive generator walks part sizes from the largest down and, for each
 admissible size and multiplicity, chooses whether the first copy is
 overlined.  Every result goes through the validating ``Overpartition``
 constructor, and the list is sorted by ``parts``, so it shares no
-construction with the dynamic programme and the trusted tuples of
+construction with the dynamic programme of
 ``regover.combinatorics.enumerate_overpartitions``.  ``test_combinatorics.py``
-requires that function to reproduce this list element for element.
+requires that function's part tuples to be this list's ``parts``, element
+for element.
 """
 
 from __future__ import annotations

@@ -5,21 +5,25 @@ Euler factor (q^m;q^m)_inf is expanded by the pentagonal number theorem and
 multiplied into, or divided out of, a dense series.  It shares no arithmetic
 with the theta-series path of ``regover.qseries.pk_series``, so the tests use
 it as the oracle that ``pk_series`` must reproduce coefficient for
-coefficient.  The generic helpers (``series_mul``, ``series_invert``,
-``euler_series``, ``unit_series``) are checked against brute-force
-polynomial products in ``test_qseries.py``.
+coefficient.  A series is the tuple of its coefficients, the coefficient of
+q^n at index n, so its truncation order is its length minus 1.  The generic
+helpers (``series_mul``, ``series_invert``, ``euler_series``,
+``unit_series``) are checked against brute-force polynomial products in
+``test_qseries.py``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from regover.qseries import EtaQuotientSpec, IntegerSeries, SeriesError
+from regover.qseries import EtaQuotientSpec, SeriesError
+
+Series = tuple[int, ...]
 
 
-def unit_series(order: int) -> IntegerSeries:
+def unit_series(order: int) -> Series:
     """The constant series 1, truncated at the given order."""
-    return IntegerSeries((1,) + (0,) * order)
+    return (1,) + (0,) * order
 
 
 def _pentagonal_terms(m: int, order: int) -> list[tuple[int, int]]:
@@ -43,7 +47,7 @@ def _pentagonal_terms(m: int, order: int) -> list[tuple[int, int]]:
     return terms
 
 
-def euler_series(m: int, order: int) -> IntegerSeries:
+def euler_series(m: int, order: int) -> Series:
     """(q^m;q^m)_inf truncated at the given order.
 
     Coefficients all lie in {-1, 0, 1} by the pentagonal number theorem.
@@ -55,41 +59,46 @@ def euler_series(m: int, order: int) -> IntegerSeries:
     coeffs = [0] * (order + 1)
     for e, s in _pentagonal_terms(m, order):
         coeffs[e] += s
-    return IntegerSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def series_mul(a: IntegerSeries, b: IntegerSeries) -> IntegerSeries:
+def _order(a: Series) -> int:
+    if not a:
+        raise SeriesError("series needs at least a constant term")
+    return len(a) - 1
+
+
+def series_mul(a: Series, b: Series) -> Series:
     """Exact Cauchy product truncated at the common order."""
-    if a.order != b.order:
-        raise SeriesError(f"order mismatch: {a.order} != {b.order}")
-    n = a.order
+    n, nb = _order(a), _order(b)
+    if n != nb:
+        raise SeriesError(f"order mismatch: {n} != {nb}")
     out = [0] * (n + 1)
     # iterate over nonzero coefficients of the sparser operand
-    nza = sum(1 for c in a.coeffs if c)
-    nzb = sum(1 for c in b.coeffs if c)
+    nza = sum(1 for c in a if c)
+    nzb = sum(1 for c in b if c)
     x, y = (a, b) if nza <= nzb else (b, a)
-    for i, ci in enumerate(x.coeffs):
+    for i, ci in enumerate(x):
         if not ci:
             continue
-        yc = y.coeffs
         for j in range(n - i + 1):
-            cj = yc[j]
+            cj = y[j]
             if cj:
                 out[i + j] += ci * cj
-    return IntegerSeries(tuple(out))
+    return tuple(out)
 
 
-def series_invert(a: IntegerSeries) -> IntegerSeries:
+def series_invert(a: Series) -> Series:
     """Multiplicative inverse of a series with constant term 1.
 
     Forward substitution: b_n = -sum_{i>=1} a_i b_{n-i}.  Zero coefficients
     of ``a`` are skipped, so inverting a pentagonal-sparse Euler factor costs
     O(N sqrt(N)) instead of O(N^2).
     """
-    if a.coeffs[0] != 1:
+    n = _order(a)
+    if a[0] != 1:
         raise SeriesError("can only invert a series with constant term 1")
-    n = a.order
-    nz = [(i, c) for i, c in enumerate(a.coeffs) if i and c]
+    nz = [(i, c) for i, c in enumerate(a) if i and c]
     b = [0] * (n + 1)
     b[0] = 1
     for j in range(1, n + 1):
@@ -99,7 +108,7 @@ def series_invert(a: IntegerSeries) -> IntegerSeries:
                 break
             acc += c * b[j - i]
         b[j] = -acc
-    return IntegerSeries(tuple(b))
+    return tuple(b)
 
 
 def _mul_pentagonal(dense: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
@@ -133,7 +142,7 @@ def _div_pentagonal(dense: list[int], terms: Sequence[tuple[int, int]]) -> list[
     return out
 
 
-def eta_quotient_series(spec: EtaQuotientSpec, order: int) -> IntegerSeries:
+def eta_quotient_series(spec: EtaQuotientSpec, order: int) -> Series:
     """Expand the eta quotient defined by ``spec`` to the given order."""
     if order < 0:
         raise SeriesError(f"order must be >= 0, got {order}")
@@ -150,4 +159,4 @@ def eta_quotient_series(spec: EtaQuotientSpec, order: int) -> IntegerSeries:
             terms = _pentagonal_terms(m, order)
             for _ in range(-d):
                 dense = _div_pentagonal(dense, terms)
-    return IntegerSeries(tuple(dense))
+    return tuple(dense)

@@ -177,10 +177,9 @@ def _witness_shape(lemma: str, k: int, a: int) -> list:
     if lemma == "2.2":
         return [
             mu for mu in ops
-            if [p for p in mu.parts if p[0] == 1] == [(1, False)]
-            and mu.parts[0][0] > 1
+            if [p for p in mu if p[0] == 1] == [(1, False)] and mu[0][0] > 1
         ]
-    return [mu for mu in ops if all(s > 1 for s, _ in mu.parts)]
+    return [mu for mu in ops if all(s > 1 for s, _ in mu)]
 
 
 def _exception_class(lemma: str, k: int, lhs: int, rhs: int) -> str:

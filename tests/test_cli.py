@@ -1,6 +1,7 @@
 """CLI contract: subcommands, output formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -410,6 +411,27 @@ class TestLemmas:
             main, ["lemmas", "--id", "9.9", "--k", "2", "--a-max", "3"]
         )
         assert result.exit_code == 2
+
+    # stdout digests of the two-sided sweeps, recorded before lemma 2.1's map
+    # moved onto raw part tuples; both sweeps meet the known k = 2
+    # exceptions, so both exit 1
+    PINNED = {
+        ("2.1", "csv"): "0db26f6b144f808b783fbbe63f34e262e4e1bab2c6cd9bc59073c1cf786cb100",
+        ("2.1", "json"): "6787dcfcfec8b5d990687497df882fdaf0158488e2606d0b0f5f1358a5757892",
+        ("2.4", "csv"): "fa45677413116852aeecfd8e3ac06fa3a0017f4cca4f94a11254f855eb598d80",
+        ("2.4", "json"): "df6310c773e29d20330f54821621193e9116077f11957e09cdd7c6e25ad8156e",
+    }
+
+    @pytest.mark.parametrize("lemma_id, output", list(PINNED))
+    def test_two_sided_output_pinned(self, runner, lemma_id, output):
+        result = runner.invoke(
+            main,
+            ["lemmas", "--id", lemma_id, "--k", "2..9", "--total-max", "14",
+             "--output", output],
+        )
+        assert result.exit_code == 1
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == self.PINNED[lemma_id, output]
 
 
 class TestJobs:

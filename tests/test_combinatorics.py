@@ -13,6 +13,7 @@ from regover.combinatorics import (
     OverpartitionError,
     UnsupportedCaseError,
     _count_walk,
+    _f1_parts,
     _f2_parts,
     _f3_parts,
     count_overpartitions,
@@ -52,27 +53,35 @@ class TestOverpartition:
         with pytest.raises(OverpartitionError):
             op((0, False))
 
+    def test_str_marks_overlines(self):
+        assert str(op((1, False), (3, False), (3, True))) == "(3~,3,1)"
+        assert str(op()) == "()"
+
+    def test_witness_rendered_from_parts(self):
+        # the witness string names (mu; right) in the notation of __str__
+        assert verify_lemma("2.2", 4, 6).unattained_witness == "((3,2~,1); (1~))"
+
 
 class TestEnumeration:
     def test_weight_zero(self):
-        assert enumerate_overpartitions(0) == (op(),)
+        assert enumerate_overpartitions(0) == ((),)
 
     def test_weight_one(self):
-        assert set(enumerate_overpartitions(1)) == {op((1, False)), op((1, True))}
+        assert enumerate_overpartitions(1) == (((1, False),), ((1, True),))
 
     def test_no_duplicates_and_constraint(self):
         c = Constraint(k_regular=3, forbid_twos=True)
         ops = enumerate_overpartitions(9, c)
         assert len(set(ops)) == len(ops)
         for o in ops:
-            assert c.satisfied_by(o)
-            assert o.weight == 9
+            assert c.allowed_parts(9).issuperset(o)
+            assert Overpartition(o).weight == 9
 
     def test_forbid_allows_overlined_copy(self):
         c = Constraint(forbid_twos=True)
         ops = enumerate_overpartitions(2, c)
-        assert op((2, True)) in ops
-        assert op((2, False)) not in ops
+        assert ((2, True),) in ops
+        assert ((2, False),) not in ops
 
     @pytest.mark.parametrize("no1,no2", itertools.product((False, True), repeat=2))
     @pytest.mark.parametrize("k", [None, *KS])
@@ -82,7 +91,7 @@ class TestEnumeration:
         for n in range(17):
             ops = enumerate_overpartitions(n, constraint)
             expected = enumerate_overpartitions_oracle(n, constraint)
-            assert [o.parts for o in ops] == [o.parts for o in expected], n
+            assert list(ops) == [o.parts for o in expected], n
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_count_matches_enumeration(self, n):
@@ -196,8 +205,8 @@ class TestF3:
 
 
 class TestTrustedImages:
-    # f2/f3 build their image parts without sorting or validating; the
-    # validating constructor must leave every such image exactly as it is
+    # the map bodies build their image parts without sorting or validating;
+    # the validating constructor must leave every such image exactly as it is
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize(
         "weight_shift,internal,public",
@@ -208,70 +217,91 @@ class TestTrustedImages:
         no2 = Constraint(k_regular=k, forbid_twos=True)
         for a in range(1, 15):
             for o in enumerate_overpartitions(a + weight_shift, no2):
-                images = internal(o.parts)
+                images = internal(o)
                 for img in images:
                     assert Overpartition(img).parts == img, (o, img)
-                pair = public(o, k)
+                pair = public(Overpartition(o), k)
                 assert (pair.left.parts, pair.right.parts) == images
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
+    def test_f1_images_canonical(self, k):
+        no12 = Constraint(k_regular=k, forbid_ones=True, forbid_twos=True)
+        for total in range(2, 19):
+            for o in enumerate_overpartitions(total, no12):
+                for b in range(1, total):
+                    try:
+                        images = _f1_parts(o, k, b)
+                    except UnsupportedCaseError:
+                        with pytest.raises(UnsupportedCaseError):
+                            f1_map(Overpartition(o), k, total - b, b)
+                        continue
+                    for img in images:
+                        assert Overpartition(img).parts == img, (o, b, img)
+                    pair = f1_map(Overpartition(o), k, total - b, b)
+                    assert (pair.left.parts, pair.right.parts) == images
 
 
 class TestImageChecks:
-    # verify_lemma must report each class of faulty map: a single-sided
-    # lemma's map is replaced by one that is wrong on exactly one source
-    K, A = 3, 6
+    # verify_lemma must report each class of faulty map: a lemma's map is
+    # replaced, in its row of the lemma table, by one that is wrong on
+    # exactly one source.  (k, a, b) per lemma; lemma 2.1 is mapped from k = 5
+    POINTS = {"2.1": (5, 6, 2), "2.2": (3, 6, 1), "2.3": (3, 6, 2)}
+    LEMMAS = list(POINTS)
 
     def _verify_with(self, monkeypatch, lemma_id, fault):
-        row = combinatorics._SINGLE_SIDED[lemma_id]
-        no2 = Constraint(k_regular=self.K, forbid_twos=True)
-        domain = enumerate_overpartitions(self.A + row.b, no2)
+        row = combinatorics._LEMMAS[lemma_id]
+        k, a, b = self.POINTS[lemma_id]
+        whole = Constraint(k_regular=k, forbid_ones=lemma_id == "2.1", forbid_twos=True)
+        domain = enumerate_overpartitions(a + b, whole)
         first, second = domain[0], domain[1]
 
-        def faulty(parts):
-            left, right = row.split(parts)
-            if parts == second.parts:
-                return fault(first, left, right)
+        def faulty(parts, k, b):
+            left, right = row.split(parts, k, b)
+            if parts == second:
+                return fault(row.split(first, k, b), left, right)
             return left, right
 
-        monkeypatch.setitem(
-            combinatorics._SINGLE_SIDED, lemma_id, row._replace(split=faulty)
-        )
-        return verify_lemma(lemma_id, self.K, self.A), first, second
+        monkeypatch.setitem(combinatorics._LEMMAS, lemma_id, row._replace(split=faulty))
+        rep = verify_lemma(lemma_id, k, a, b)
+        return rep, Overpartition(first), Overpartition(second)
 
-    @pytest.mark.parametrize("lemma_id", ["2.2", "2.3"])
+    @pytest.mark.parametrize("lemma_id", LEMMAS)
     def test_faithful_map_is_clean(self, lemma_id):
-        rep = verify_lemma(lemma_id, self.K, self.A)
+        rep = verify_lemma(lemma_id, *self.POINTS[lemma_id])
+        assert rep.mode == "map"
         assert rep.injective and rep.codomain_ok and rep.notes == []
 
-    @pytest.mark.parametrize("lemma_id", ["2.2", "2.3"])
+    @pytest.mark.parametrize("lemma_id", LEMMAS)
     def test_collision_reported(self, monkeypatch, lemma_id):
         # the second source is sent to the first source's image
-        split = combinatorics._SINGLE_SIDED[lemma_id].split
         rep, first, second = self._verify_with(
-            monkeypatch, lemma_id, lambda first, left, right: split(first.parts)
+            monkeypatch, lemma_id, lambda first_image, left, right: first_image
         )
         assert rep.injective is False
         assert rep.codomain_ok is True
         assert rep.notes == [f"collision: {first} and {second}"]
 
-    @pytest.mark.parametrize("lemma_id", ["2.2", "2.3"])
+    @pytest.mark.parametrize("lemma_id", LEMMAS)
     def test_weight_violation_reported(self, monkeypatch, lemma_id):
         # one plain 1 too many on the left
         rep, _, second = self._verify_with(
             monkeypatch,
             lemma_id,
-            lambda first, left, right: (left + ((1, False),), right),
+            lambda first_image, left, right: (left + ((1, False),), right),
         )
         assert rep.codomain_ok is False
         assert rep.injective is True
         assert rep.notes == [f"weight violation at {second}"]
 
     @pytest.mark.parametrize("overlined", [False, True])
-    @pytest.mark.parametrize("lemma_id", ["2.2", "2.3"])
+    @pytest.mark.parametrize("lemma_id", LEMMAS)
     def test_codomain_violation_reported(self, monkeypatch, lemma_id, overlined):
-        # a left image of the right weight a = 6 with the part k = 3
-        bad = ((self.K, overlined),) + ((1, False),) * (self.A - self.K)
+        # a left image of the right weight a with the part k, in every other
+        # respect inside each lemma's left codomain
+        k, a, _ = self.POINTS[lemma_id]
+        bad = ((k, overlined), (1, True)) + ((1, False),) * (a - k - 1)
         rep, _, second = self._verify_with(
-            monkeypatch, lemma_id, lambda first, left, right: (bad, right)
+            monkeypatch, lemma_id, lambda first_image, left, right: (bad, right)
         )
         assert rep.codomain_ok is False
         assert rep.injective is True

@@ -64,8 +64,8 @@ class TestQRatio:
     def test_exact_small_value(self):
         # p2: 1, 2, 2, 4, ... so Q(1) = 1*2 / 2^2
         r = q_ratio(2, 1)
-        assert r.value == Fraction(pk(2, 0) * pk(2, 2), pk(2, 1) ** 2)
-        assert r.value == Fraction(1, 2)
+        assert r == Fraction(pk(2, 0) * pk(2, 2), pk(2, 1) ** 2)
+        assert r == Fraction(1, 2)
 
     def test_rejects_n_zero(self):
         with pytest.raises(InequalityError):
@@ -73,7 +73,7 @@ class TestQRatio:
 
     def test_logconcave_iff_q_below_one(self):
         for n in (5, 21, 100):
-            assert check_logconcave(2, n) == (q_ratio(2, n).value < 1)
+            assert check_logconcave(2, n) == (q_ratio(2, n) < 1)
 
 
 class TestLogConcavity:
@@ -135,19 +135,19 @@ class TestTuran3:
         # whenever the sufficiency criterion fires on (Q(n), Q(n+1)), the
         # third-order Turan inequality must hold at n+1
         for k, n in [(2, 6000), (3, 400), (4, 500), (5, 1200)]:
-            u, v = q_ratio(k, n).value, q_ratio(k, n + 1).value
+            u, v = q_ratio(k, n), q_ratio(k, n + 1)
             if jia_criterion(u, v):
                 assert check_turan3(k, n + 1)
 
 
 class TestJiaCriterion:
     def test_accepts_known_good_pair(self):
-        u, v = q_ratio(2, 6000).value, q_ratio(2, 6001).value
+        u, v = q_ratio(2, 6000), q_ratio(2, 6001)
         assert Fraction(15, 16) <= u < v < 1
         assert jia_criterion(u, v)
 
     def test_rejects_equal_and_reversed(self):
-        u = q_ratio(2, 6000).value
+        u = q_ratio(2, 6000)
         assert not jia_criterion(u, u)
         assert not jia_criterion(u, u - Fraction(1, 10**9))
 
@@ -193,7 +193,7 @@ class TestQBounds:
         assert verify_q_containment(2, 6000)
 
     def test_overlap_at_cap_raises(self, monkeypatch):
-        q = q_ratio(3, 400).value
+        q = q_ratio(3, 400)
         asked = []
 
         def straddling(k, n, precision):
@@ -278,7 +278,7 @@ class TestQBounds:
     def test_verdicts_match_oracle(self, k, ns):
         for n in ns:
             oracle = certify(
-                q_ratio(k, n).value,
+                q_ratio(k, n),
                 lambda prec: q_bounds_oracle(k, n, prec),
                 None,
                 f"oracle k={k}, n={n}",
