@@ -21,15 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .numerics import (
+    DEFAULT_PRECISION,
     Interval,
     NumericsError,
     bessel_i1,
     certify,
-    default_precision,
     dedekind_sum,
     mu,
     pi,
@@ -56,7 +57,7 @@ class ChernInvariants:
     L: int
     l_pos: frozenset
 
-    def delta4(self, l: int, precision: Optional[int] = None) -> Interval:
+    def delta4(self, l: int, precision: int = DEFAULT_PRECISION) -> Interval:
         return Interval.from_exact(self.delta4_sq[l], precision).sqrt()
 
 
@@ -121,7 +122,7 @@ def _a_hat_phases(kk: int, n: int, spec: EtaQuotientSpec) -> list[Fraction]:
 
 
 def a_hat(
-    kk: int, n: int, spec: EtaQuotientSpec, precision: Optional[int] = None
+    kk: int, n: int, spec: EtaQuotientSpec, precision: int = DEFAULT_PRECISION
 ) -> Interval:
     """Enclosure of the exponential sum A-hat_kk(n).
 
@@ -131,7 +132,6 @@ def a_hat(
     """
     if kk < 1:
         raise ChernError(f"kk must be >= 1, got {kk}")
-    precision = default_precision() if precision is None else precision
     if kk == 1:
         return Interval.from_exact(1, precision)
     p = pi(precision)
@@ -199,15 +199,9 @@ def _require_mu(k: int, n: int, threshold: int, precision: int) -> Interval:
     return m
 
 
-_INVARIANTS_CACHE: dict[int, ChernInvariants] = {}
-
-
+@cache
 def _invariants_for_k(k: int) -> ChernInvariants:
-    inv = _INVARIANTS_CACHE.get(k)
-    if inv is None:
-        inv = invariants(build_spec(k))
-        _INVARIANTS_CACHE[k] = inv
-    return inv
+    return invariants(build_spec(k))
 
 
 def class_count(k: int) -> int:
@@ -226,12 +220,13 @@ def class_count(k: int) -> int:
     return len(inv.l_pos)
 
 
-def printed_main_constant(k: int, n: int, precision: Optional[int] = None) -> Interval:
+def printed_main_constant(
+    k: int, n: int, precision: int = DEFAULT_PRECISION
+) -> Interval:
     """The published closed-form constant (class_count times the true one)."""
     _check_k(k)
     if n < 1:
         raise ChernError(f"n must be >= 1, got {n}")
-    precision = default_precision() if precision is None else precision
     m = mu(k, n, precision).value
     coeff, rad = _C_TABLE[k]
     return coeff * Interval.from_exact(rad, precision).sqrt() * pi(
@@ -239,7 +234,7 @@ def printed_main_constant(k: int, n: int, precision: Optional[int] = None) -> In
     ).pow_int(2) / m
 
 
-def main_term(k: int, n: int, precision: Optional[int] = None) -> Interval:
+def main_term(k: int, n: int, precision: int = DEFAULT_PRECISION) -> Interval:
     """Enclosure of the true Bessel main term C_k(n) * I1(mu_k(n)).
 
     The constant is 2 pi sqrt(Delta4(1)^2 Delta3(1) / (24 n + Delta2)),
@@ -248,7 +243,6 @@ def main_term(k: int, n: int, precision: Optional[int] = None) -> Interval:
     _check_k(k)
     if n < 1:
         raise ChernError(f"n must be >= 1, got {n}")
-    precision = default_precision() if precision is None else precision
     inv = _invariants_for_k(k)
     m = mu(k, n, precision).value
     inner = inv.delta4_sq[1] * inv.delta3[1] / (24 * n + inv.delta2)
@@ -256,10 +250,9 @@ def main_term(k: int, n: int, precision: Optional[int] = None) -> Interval:
     return c * bessel_i1(m)
 
 
-def remainder_bound(k: int, n: int, precision: Optional[int] = None) -> Interval:
+def remainder_bound(k: int, n: int, precision: int = DEFAULT_PRECISION) -> Interval:
     """Enclosure of the printed remainder bound R'_k(n); needs mu_k >= N_K[k]."""
     _check_k(k)
-    precision = default_precision() if precision is None else precision
     m = _require_mu(k, n, N_K[k], precision)
     coeff, rad, rate = _R_TABLE[k]
     p = pi(precision)
@@ -268,11 +261,10 @@ def remainder_bound(k: int, n: int, precision: Optional[int] = None) -> Interval
 
 
 def pk_bounds(
-    k: int, n: int, precision: Optional[int] = None
+    k: int, n: int, precision: int = DEFAULT_PRECISION
 ) -> tuple[Interval, Interval]:
     """Tightened corollary bracket M_k(n) * (1 -/+ 1/mu_k^6)."""
     _check_k(k)
-    precision = default_precision() if precision is None else precision
     m = _require_mu(k, n, NDOT_K[k], precision)
     main = main_term(k, n, precision)
     wiggle = 1 / m.pow_int(6)
@@ -321,14 +313,13 @@ class AsymptoticEstimate:
         }
 
 
-def estimate(k: int, n: int, precision: Optional[int] = None) -> AsymptoticEstimate:
+def estimate(k: int, n: int, precision: int = DEFAULT_PRECISION) -> AsymptoticEstimate:
     """Bracket p_k-bar(n); remainder fields are None below the threshold.
 
     ``inside`` is the certified verdict of :func:`verify_bracket`; the
     reported intervals stay at the requested precision.
     """
     _check_k(k)
-    precision = default_precision() if precision is None else precision
     m = mu(k, n, precision).value
     exact = pk(k, n)
     if m.lo < N_K[k]:
@@ -370,7 +361,7 @@ def truncated_expansion(
     spec: EtaQuotientSpec,
     n: int,
     N: int,
-    precision: Optional[int] = None,
+    precision: int = DEFAULT_PRECISION,
 ) -> Interval:
     """Experimental: the truncated asymptotic sum without its error term.
 
@@ -385,7 +376,6 @@ def truncated_expansion(
     ok, witness = check_admissibility(spec)
     if not ok:
         raise ChernError(f"spec fails admissibility at l = {witness}")
-    precision = default_precision() if precision is None else precision
     if 24 * n + inv.delta2 <= 0:
         raise ChernError(f"need 24n + Delta2 > 0, got {24 * n + inv.delta2}")
     p = pi(precision)

@@ -8,6 +8,11 @@ given configuration (stable row ordering, no timestamps).
 Exit codes: 0 = all checks verified, 1 = counterexample found,
 2 = usage or configuration error, 3 = precision exhaustion.
 
+``--precision`` is the only precision setting: it defaults to
+:data:`regover.precision.DEFAULT_PRECISION` (192 bits), and a value below
+:data:`regover.precision.MIN_PRECISION` exits 2.  Nothing is read from the
+environment.
+
 Inputs that would exhaust time or memory fail early with exit 2, before
 any table is built: ``count --n``/``--n-max``, ``asym --n-max`` and
 ``verify --horizon`` above :data:`N_MAX_CEILING` (``verify subadd --horizon``
@@ -92,13 +97,10 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _resolve_precision(precision: int | None) -> int:
-    from .precision import MIN_PRECISION, NumericsError, default_precision
+    from .precision import DEFAULT_PRECISION, MIN_PRECISION
 
     if precision is None:
-        try:
-            return default_precision()
-        except NumericsError as exc:
-            raise click.UsageError(str(exc))
+        return DEFAULT_PRECISION
     if precision < MIN_PRECISION:
         raise click.UsageError(
             f"precision must be >= {MIN_PRECISION} bits, got {precision}"
@@ -236,7 +238,7 @@ _PRECISION = click.option(
     "--precision",
     type=int,
     default=None,
-    help="Working precision in bits [default: REGOVER_PRECISION or 192].",
+    help="Working precision in bits [default: 192].",
 )
 
 

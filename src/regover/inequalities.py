@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .precision import default_precision
+from .precision import DEFAULT_PRECISION
 from .qseries import pk, warm_cache
 
 
@@ -224,7 +224,7 @@ def _q_rows(
 
 
 def q_bounds(
-    k: int, n: int, precision: Optional[int] = None
+    k: int, n: int, precision: int = DEFAULT_PRECISION
 ) -> tuple[QEnclosure, QEnclosure]:
     """Enclosures of the printed lower/upper polynomials bounding Q_k(n).
 
@@ -241,7 +241,6 @@ def q_bounds(
         raise InequalityError(
             f"Q bounds for k={k} require n >= {threshold}, got {n}"
         )
-    precision = default_precision() if precision is None else precision
     s = precision + _QB_GUARD
     p4, p8 = _pi_powers(precision)
     lower, upper = _q_rows(k, mu(k, n, precision).value.scaled(s), p4, p8, s)
@@ -291,15 +290,7 @@ class ThresholdReport:
     equalities: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "property": self.property,
-            "paper_threshold": self.paper_threshold,
-            "observed_min_threshold": self.observed_min_threshold,
-            "horizon": self.horizon,
-            "exceptions_below": list(self.exceptions_below),
-            "equalities": list(self.equalities),
-        }
+        return dict(vars(self))
 
 
 def scan_thresholds(k: int, property: str, horizon: int) -> ThresholdReport:

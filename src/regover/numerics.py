@@ -26,10 +26,14 @@ pi that way.
 enclosure bracket: a verdict needs strictly separated enclosures, and an
 undecided comparison doubles the precision up to :data:`MAX_PRECISION`.
 
+Every function that builds an enclosure takes its precision as an argument
+defaulting to :data:`DEFAULT_PRECISION`, so a result depends only on its
+arguments, never on the process environment.
+
 Dedekind sums are exact rationals, computed by reciprocity in O(log j)
-steps, and never touch intervals.  The precision constants, the precision
-rule and the two exceptions live in the mpmath-free :mod:`regover.precision`
-and are re-exported here.
+steps, and never touch intervals.  The precision constants and the two
+exceptions live in the mpmath-free :mod:`regover.precision` and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .precision import (  # noqa: F401  (re-exported precision contract)
     MIN_PRECISION,
     NumericsError,
     PrecisionExhausted,
-    default_precision,
 )
 
 # guard against exp() of absurd arguments producing numbers with millions
@@ -90,14 +93,15 @@ class Interval:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_exact(cls, value: Exactable, precision: Optional[int] = None) -> "Interval":
+    def from_exact(
+        cls, value: Exactable, precision: int = DEFAULT_PRECISION
+    ) -> "Interval":
         return cls.from_endpoints(value, value, precision)
 
     @classmethod
     def from_endpoints(
-        cls, lo: Exactable, hi: Exactable, precision: Optional[int] = None
+        cls, lo: Exactable, hi: Exactable, precision: int = DEFAULT_PRECISION
     ) -> "Interval":
-        precision = default_precision() if precision is None else precision
         flo, fhi = Fraction(lo), Fraction(hi)
         if flo > fhi:
             raise NumericsError(f"lo {flo} > hi {fhi}")
@@ -231,9 +235,8 @@ class Interval:
         return f"[{lo},{hi}]"
 
 
-def pi(precision: Optional[int] = None) -> Interval:
+def pi(precision: int = DEFAULT_PRECISION) -> Interval:
     """Enclosure of pi."""
-    precision = default_precision() if precision is None else precision
     if precision < MIN_PRECISION:
         raise NumericsError(f"precision must be >= {MIN_PRECISION}, got {precision}")
     return Interval(precision, libmpi.mpi_pi(precision))
@@ -255,9 +258,10 @@ def certify(
     (lower.hi < value < upper.lo); False only when ``value`` lies strictly
     outside (value < lower.lo or upper.hi < value).  Anything else, touching
     endpoints included, doubles the precision up to MAX_PRECISION and then
-    raises PrecisionExhausted naming ``what``.
+    raises PrecisionExhausted naming ``what``.  A ``precision`` of None
+    starts at DEFAULT_PRECISION.
     """
-    precision = default_precision() if precision is None else precision
+    precision = DEFAULT_PRECISION if precision is None else precision
     while True:
         lower, upper = bounds(precision)
         if lower.hi < value < upper.lo:
@@ -281,7 +285,7 @@ class MuValue:
     value: Interval
 
 
-def mu(k: int, n: int, precision: Optional[int] = None) -> MuValue:
+def mu(k: int, n: int, precision: int = DEFAULT_PRECISION) -> MuValue:
     """mu_k(n) = pi * sqrt((k-1) n / k), evaluated as pi * sqrt((k-1) k n) / k.
 
     This is pi * sqrt(2 n Delta3(1) / 3) with Delta2 = 0: for the k-regular
@@ -291,7 +295,6 @@ def mu(k: int, n: int, precision: Optional[int] = None) -> MuValue:
         raise NumericsError(f"mu is defined for k in 2..9, got {k}")
     if n < 0:
         raise NumericsError(f"n must be >= 0, got {n}")
-    precision = default_precision() if precision is None else precision
     root = Interval.from_exact((k - 1) * k * n, precision).sqrt()
     return MuValue(k, n, pi(precision) * root / k)
 

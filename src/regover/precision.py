@@ -1,14 +1,14 @@
 """The working-precision contract, without mpmath.
 
-The precision constants, :func:`default_precision` (which reads and
-validates ``REGOVER_PRECISION``) and the two numeric exceptions live here so
-that code which only validates a precision, or only catches these errors,
-does not import mpmath.  :mod:`regover.numerics` re-exports every name.
+The precision constants and the two numeric exceptions live here so that
+code which only validates a precision, or only catches these errors, does
+not import mpmath.  :data:`DEFAULT_PRECISION` is a plain default value:
+every library function takes its precision as an argument, and nothing
+reads it from the environment.  :mod:`regover.numerics` re-exports every
+name.
 """
 
 from __future__ import annotations
-
-import os
 
 
 class NumericsError(ValueError):
@@ -22,17 +22,3 @@ class PrecisionExhausted(ArithmeticError):
 DEFAULT_PRECISION = 192
 MIN_PRECISION = 64
 MAX_PRECISION = 768
-
-
-def default_precision() -> int:
-    """Working precision in bits; REGOVER_PRECISION overrides the default."""
-    raw = os.environ.get("REGOVER_PRECISION")
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise NumericsError(f"REGOVER_PRECISION must be an integer, got {raw!r}") from exc
-    if bits < MIN_PRECISION:
-        raise NumericsError(f"REGOVER_PRECISION must be >= {MIN_PRECISION}, got {bits}")
-    return bits

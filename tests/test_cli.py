@@ -231,24 +231,14 @@ class TestVerify:
         )
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize(
-        "option, env, message",
-        [
-            (["--precision", "16"], None, "precision must be >= 64 bits, got 16"),
-            ([], "abc", "REGOVER_PRECISION must be an integer, got 'abc'"),
-            ([], "16", "REGOVER_PRECISION must be >= 64, got 16"),
-        ],
-        ids=["option-16", "env-abc", "env-16"],
-    )
-    def test_exact_scan_rejects_bad_precision(
-        self, runner, monkeypatch, option, env, message
-    ):
+    @pytest.mark.parametrize("bits", ["16", "63"], ids=["option-16", "option-63"])
+    def test_exact_scan_rejects_bad_precision(self, runner, bits):
         # the exact scans never read the precision, but validate it all the same
-        if env is not None:
-            monkeypatch.setenv("REGOVER_PRECISION", env)
-        result = runner.invoke(main, ["verify", "turan3", "--k", "2..9", *option])
+        result = runner.invoke(
+            main, ["verify", "turan3", "--k", "2..9", "--precision", bits]
+        )
         assert result.exit_code == 2
-        assert message in result.stderr
+        assert f"precision must be >= 64 bits, got {bits}" in result.stderr
         assert result.stdout == ""
 
     @pytest.mark.parametrize("output", ["csv", "json", "table"])
@@ -297,6 +287,21 @@ class TestVerify:
 
 
 class TestAsym:
+    @pytest.mark.parametrize("value", ["64", "abc"])
+    def test_precision_environment_variable_is_ignored(
+        self, runner, monkeypatch, value
+    ):
+        # --precision is the only precision setting: a REGOVER_PRECISION in
+        # the environment changes neither the rows nor the exit code
+        args = ["asym", "--k", "3", "--n-min", "600", "--n-max", "700",
+                "--step", "50", "--output", "csv"]
+        monkeypatch.delenv("REGOVER_PRECISION", raising=False)
+        plain = runner.invoke(main, args)
+        monkeypatch.setenv("REGOVER_PRECISION", value)
+        with_env = runner.invoke(main, args)
+        assert plain.exit_code == 0
+        assert (with_env.exit_code, with_env.stdout) == (0, plain.stdout)
+
     def test_bracket_rows(self, runner):
         result = runner.invoke(
             main,

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
-from regover.chern import invariants
+from regover.chern import invariants, main_term
 from regover.numerics import (
+    DEFAULT_PRECISION,
     MAX_PRECISION,
     Interval,
     NumericsError,
@@ -25,7 +26,6 @@ from regover.numerics import (
     _i1_sums,
     certify,
     dedekind_sum,
-    default_precision,
     e_i,
     mu,
     pi,
@@ -135,14 +135,14 @@ class TestIntervalBasics:
         s = iv(Fraction(1, 3)).to_string(5)
         assert s.startswith("[0.33333,") and s.endswith("]")
 
-    def test_default_precision_env(self, monkeypatch):
-        monkeypatch.delenv("REGOVER_PRECISION", raising=False)
-        assert default_precision() == 192
-        monkeypatch.setenv("REGOVER_PRECISION", "256")
-        assert default_precision() == 256
-        monkeypatch.setenv("REGOVER_PRECISION", "16")
-        with pytest.raises(NumericsError):
-            default_precision()
+    def test_precision_defaults_to_the_constant(self):
+        # precision is an argument with a plain default, never read from
+        # the environment
+        assert DEFAULT_PRECISION == 192
+        assert Interval.from_exact(1).precision == DEFAULT_PRECISION
+        assert pi().precision == DEFAULT_PRECISION
+        assert mu(3, 600).value.precision == DEFAULT_PRECISION
+        assert main_term(3, 600).precision == DEFAULT_PRECISION
 
     def test_precision_below_minimum_rejected(self):
         with pytest.raises(NumericsError, match=">= 64"):
@@ -290,6 +290,16 @@ class TestCertify:
 
         assert certify(1, bounds, 192, "x") is True
         assert asked == [192, 384]
+
+    def test_none_precision_starts_at_192_bits(self):
+        asked = []
+
+        def bounds(prec):
+            asked.append(prec)
+            return Interval.from_exact(0, prec), Interval.from_exact(2, prec)
+
+        assert certify(1, bounds, None, "x") is True
+        assert asked == [DEFAULT_PRECISION]
 
     @pytest.mark.parametrize("value", [1, 2])
     def test_touching_endpoint_is_not_a_certificate(self, value):

@@ -1,8 +1,12 @@
 """Series arithmetic checks against brute-force polynomial oracles.
 
 ``pk_series`` runs on the theta identity; the eta-quotient expansion in
-``qseries_oracle`` is the independent reference it must reproduce.
+``qseries_oracle`` is the independent reference it must reproduce, and two
+congruences mod 4 and mod 8 check the whole table without any series
+arithmetic.
 """
+
+from math import isqrt
 
 import pytest
 
@@ -245,3 +249,68 @@ class TestPkAccessor:
             pk(1, 5)
         with pytest.raises(SeriesError):
             pk(2, -1)
+
+
+# Congruence oracles.  With T = sum_{j>=1} (-1)^j q^(j^2), phi(-q) = 1 + 2T
+# and pk-bar = phi(-q^k) / phi(-q).  Since 1/(1 + 2T) = 1 - 2T + 4T^2 (mod 8),
+#   pk-bar = (1 + 2T(q^k)) (1 - 2T + 4T^2)
+#          = 1 - 2T + 4T^2 + 2T(q^k) - 4 T T(q^k)   (mod 8),
+# and modulo 4 only 1 - 2T + 2T(q^k) remains, where -2T = 2T (mod 4).  Each
+# coefficient below is a signed count of representations by squares,
+# computed directly from its definition.
+CONGRUENCE_ORDER = 20_000
+
+
+def signed_squares(order):
+    """T(n) = (-1)^j if n = j^2 with j >= 1, else 0, for n <= order."""
+    t = [0] * (order + 1)
+    for j in range(1, isqrt(order) + 1):
+        t[j * j] = (-1) ** j
+    return t
+
+
+def signed_two_square_sums(order, k):
+    """sum of (-1)^(i+j) over i, j >= 1 with i^2 + k j^2 = n, for n <= order."""
+    out = [0] * (order + 1)
+    for i in range(1, isqrt(order) + 1):
+        for j in range(1, isqrt((order - i * i) // k) + 1):
+            out[i * i + k * j * j] += (-1) ** (i + j)
+    return out
+
+
+class TestCongruenceOracles:
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_mod_4(self, k):
+        # pk-bar(n) = 2 ([n is a square] + [n is k times a square])  (mod 4)
+        order = CONGRUENCE_ORDER
+        t = signed_squares(order)
+        table = pk_series(k, order)
+        bad = [
+            n
+            for n in range(1, order + 1)
+            if (table[n] - 2 * (t[n] != 0) - 2 * (n % k == 0 and t[n // k] != 0)) % 4
+        ]
+        assert bad == []
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_mod_8(self, k):
+        # pk-bar(n) = [n = 0] - 2T(n) + 4T2(n) + 2T(n/k) - 4U(n)  (mod 8)
+        order = CONGRUENCE_ORDER
+        t = signed_squares(order)
+        t2 = signed_two_square_sums(order, 1)
+        u = signed_two_square_sums(order, k)
+        table = pk_series(k, order)
+        bad = [
+            n
+            for n in range(order + 1)
+            if (
+                table[n]
+                - (n == 0)
+                + 2 * t[n]
+                - 4 * t2[n]
+                - 2 * (t[n // k] if n % k == 0 else 0)
+                + 4 * u[n]
+            )
+            % 8
+        ]
+        assert bad == []
