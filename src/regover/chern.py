@@ -28,7 +28,6 @@ from typing import Mapping, Optional
 from .numerics import (
     DEFAULT_PRECISION,
     Interval,
-    NumericsError,
     bessel_i1,
     certify,
     dedekind_sum,

@@ -13,6 +13,13 @@ Exit codes: 0 = all checks verified, 1 = counterexample found,
 :data:`regover.precision.MIN_PRECISION` exits 2.  Nothing is read from the
 environment.
 
+``--jobs`` is the number of processes ``count`` and ``lemmas`` split their
+k range among: the parent runs the first share and one forked child runs
+each other share (see the worker section below).  It defaults to the number
+of CPUs the process may run on, a value below 1 exits 2, and the output is
+the same at every value.  ``verify`` and ``asym`` accept it but run in one
+process: forking their sweeps gained nothing measurable.
+
 Inputs that would exhaust time or memory fail early with exit 2, before
 any table is built: ``count --n``/``--n-max``, ``asym --n-max`` and
 ``verify --horizon`` above :data:`N_MAX_CEILING` (``verify subadd --horizon``
@@ -27,8 +34,10 @@ catches, inside its own body, so a process pays only for what it runs:
 ``verify`` :mod:`regover.inequalities` and the mpmath-free
 :mod:`regover.precision` (``verify qbounds`` also :mod:`regover.numerics`),
 and ``asym`` :mod:`regover.chern` and :mod:`regover.numerics` (mpmath comes
-in with :mod:`regover.numerics`).  Keep new layer imports inside the
-commands.
+in with :mod:`regover.numerics`).  The worker helpers import ``os`` and
+``threading``, which click has loaded already, and :mod:`signal` only to
+kill a child left running; ``lemmas`` imports :mod:`pickle` only when it
+forks.  Keep new imports inside the commands.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import sys
 
 import click
 
-from .qseries import pk, warm_cache
+from .qseries import overpartitions, pk, warm_cache
 
 EXIT_COUNTEREXAMPLE = 1
 EXIT_PRECISION = 3
@@ -48,19 +57,24 @@ K_MIN, K_MAX = 2, 9
 
 # Resource ceilings.  Measured on a 2-core host (Python 3.11, pure-Python
 # mpmath), all with ``--k 2..9 --output csv``:
-#   * ``count --n-max 50000`` takes 6.2–6.6 s and 107 MB, of which the eight
-#     tables are about 5.3 s and 81 MB and the rest is one joined block of
-#     output per k.
+#   * ``count --n-max 50000`` takes 6.2–6.6 s and 107 MB at ``--jobs 1``, of
+#     which the eight tables are about 5.3 s and 81 MB and the rest is one
+#     joined block of output per k.  Re-measured on a slower day of the same
+#     host: 8.7–9.3 s and 102 MB at ``--jobs 1``, and 6.0–7.3 s at the
+#     default (two processes), with 70 MB in the parent and 119 MB in the
+#     child, which holds its five k's tables and text until the parent has
+#     written its own three.
 #   * ``verify logconcave --horizon 50000`` takes 7.4 s and 87 MB, ``verify
 #     turan3`` 10.3 s and 87 MB; ``verify qbounds --horizon 50000`` (about
 #     370 000 certified rows, written as they are decided) takes 23.6 s and
 #     87 MB, where keeping every row until the end took 62 s and 269 MB.
 #   * ``verify subadd`` checks about horizon²/4 pairs per k: horizon 2000
 #     takes 2.4 s and 3000 takes 4.9 s, both in 23 MB.
-#   * ``lemmas --id 2.3 --a-max 26`` takes 3.4–3.9 s and 43 MB, and each
-#     step of a multiplies its time by about 1.3 and its memory by about
-#     1.15.  Mapping and checking each image takes most of it, enumerating
-#     the domains about a fifth.
+#   * ``lemmas --id 2.3 --a-max 26`` takes 3.4–3.9 s and 43 MB at ``--jobs
+#     1`` (2.4 s at ``--jobs 2``, with 35 MB in the parent and 40 MB in the
+#     child), and each step of a multiplies its time by about 1.3 and its
+#     memory by about 1.15.  Mapping and checking each image takes most of
+#     it, enumerating the domains about a fifth.
 #   * ``lemmas --id 2.1 --total-max 20`` takes 1.1–1.3 s and 22 takes
 #     1.7–1.9 s, both in 21 MB, with start-up; each step of total-max
 #     multiplies the time by about 1.3.
@@ -148,40 +162,289 @@ def _emit(rows: list[dict], output: str) -> None:
         click.echo("  ".join(v.ljust(w) for v, w in zip(line, widths)))
 
 
-def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
-    """Write ``count``'s rows for n in n_lo..n_hi straight from the tables.
+# -- worker processes --------------------------------------------------------
+#
+# ``count`` and ``lemmas`` split their k range into contiguous shares of about
+# equal cost.  The parent runs the first share and writes as it goes; each
+# other share runs in a child forked with os.fork, which starts from the
+# parent's tables.  multiprocessing costs about 21 ms to import, and a spawned
+# child would import everything again and rebuild the shared pbar table.
+#
+# A child computes its whole share before it writes, since it would otherwise
+# stall on the pipe while the parent is busy with its own share.  It then
+# sends b"+" and its output, or b"-" and the error, and leaves by os._exit, so
+# it never returns into the parent's stack nor flushes the parent's buffers.
+# Before its output a child may send the parent one line and wait for the
+# answer (``count`` agrees on a table's column width so).
 
-    The bytes are those :func:`_emit` gives for the rows
-    ``{"k": k, "n": n, "count": str(count)}``, but no row is built: each k's
-    rows go out as one joined block sliced from its memoized coefficients.
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(jobs: int | None, units: int) -> int:
+    """Children to fork for ``units`` work units: min(jobs, CPUs, units) - 1,
+    with jobs defaulting to the CPU count.
+
+    Zero where os.fork is missing or another thread runs: a forked child
+    would inherit that thread's locks in whatever state they were.
+    """
+    import os
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return 0
+    cpus = _cpu_count()
+    return max(min(cpus if jobs is None else jobs, cpus, units) - 1, 0)
+
+
+def _shares(units: list, cost, parts: int) -> list[list]:
+    """Split ``units`` into ``parts`` (at most ``len(units)``) non-empty runs,
+    in order, each cut where the ``cost`` of the units before it comes
+    closest to its share."""
+    if parts == 1:
+        return [units]
+    costs = [cost(u) for u in units]
+    total = sum(costs)
+    cuts = [0]
+    for i in range(1, parts):
+        # leave at least one unit for each run still to come
+        options = range(cuts[-1] + 1, len(units) - parts + i + 1)
+        cuts.append(min(options, key=lambda c: abs(sum(costs[:c]) - total * i / parts)))
+    cuts.append(len(units))
+    return [units[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _serve(share: list, work, out_fd: int, reply_fd: int, foreign: list[int]):
+    """Run ``work(share, exchange)`` in a forked child, send its output to
+    ``out_fd`` and exit; never returns.  ``foreign`` are the inherited pipe
+    ends that belong to the parent or to other children."""
+    import os
+
+    status = 1
+    try:
+        for fd in foreign:
+            os.close(fd)
+        with open(out_fd, "wb") as out, open(reply_fd, "rb") as reply:
+            opened = False
+
+            def send(data: bytes) -> None:
+                nonlocal opened
+                out.write(data if opened else b"+" + data)
+                opened = True
+
+            def exchange(line: str) -> str:
+                send(line.encode() + b"\n")
+                out.flush()
+                return reply.readline().decode()
+
+            try:
+                blocks = work(share, exchange)
+            except Exception as exc:
+                if not opened:
+                    out.write(b"-" + f"{type(exc).__name__}: {exc}".encode())
+                return  # with status 1
+            send(b"")
+            out.writelines(blocks)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _Worker:
+    """One forked child running one share, seen from the parent."""
+
+    def __init__(self, share: list, work, others: list[_Worker]):
+        import os
+
+        self.share = share
+        out_r, out_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (out_r, out_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            foreign = [out_r, reply_w]
+            for w in others:
+                foreign += [w.out.fileno(), w.reply]
+            _serve(share, work, out_w, reply_r, foreign)
+        self.pid = pid
+        os.close(out_w)
+        os.close(reply_r)
+        self.out = open(out_r, "rb")
+        self.reply = reply_w
+        self.opened = False
+
+    def _fail(self, why: str):
+        raise RuntimeError(f"worker for k in {self.share} failed: {why}")
+
+    def _open(self) -> None:
+        """Read the child's status byte; raise its error if it failed."""
+        if not self.opened:
+            head = self.out.read(1)
+            if head != b"+":
+                self._fail(self.out.read().decode(errors="replace") or "no output")
+            self.opened = True
+
+    def _wait(self) -> None:
+        import os
+
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            self._fail(f"exit status {code}")
+
+    def readline(self) -> str:
+        """The line the child sends before its output."""
+        self._open()
+        return self.out.readline().decode()
+
+    def send(self, line: str) -> None:
+        """Answer the child's line."""
+        import os
+
+        os.write(self.reply, line.encode() + b"\n")
+
+    def copy(self, write) -> None:
+        """Pass the child's output, ASCII text, to ``write`` in bounded
+        chunks; wait for the child and raise if it failed."""
+        self._open()
+        while chunk := self.out.read1(1 << 16):
+            write(chunk.decode("ascii"))
+        self._wait()
+
+    def read(self) -> bytes:
+        """The child's whole output, once it has exited cleanly."""
+        self._open()
+        data = self.out.read()
+        self._wait()
+        return data
+
+    def close(self) -> None:
+        """Kill the child if it may still run, wait for it, close the pipes."""
+        import os
+
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.out.close()
+        os.close(self.reply)
+
+
+class _Workers(list):
+    """Context manager forking one :class:`_Worker` per share; on every way
+    out, each child is killed if still running and waited for."""
+
+    def __init__(self, shares: list[list], work):
+        super().__init__()
+        self.shares, self.work = shares, work
+
+    def __enter__(self) -> _Workers:
+        try:
+            for share in self.shares:
+                self.append(_Worker(share, self.work, self))
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for worker in self:
+            worker.close()
+
+
+def _count_blocks(
+    ks: list[int], n_lo: int, n_hi: int, output: str, first: bool, agree
+):
+    """Yield ``count``'s rows for the k in ``ks`` and n in n_lo..n_hi, one
+    joined block of text per k, sliced from the memoized coefficients.
+
+    Together the blocks of every share, and then "]\n" for json, are the
+    bytes :func:`_emit` gives for the rows ``{"k": k, "n": n, "count":
+    str(count)}``.  The ``first`` share also yields the header and opens the
+    json array.  ``agree(width)`` turns this share's widest count cell into
+    the widest of all shares; it is called, for a table, once every table of
+    the share is built and before any text is yielded.
     """
     columns = {k: warm_cache(k, n_hi)[n_lo : n_hi + 1] for k in ks}
-    write = sys.stdout.write
     if output == "csv":
-        write("k,n,count\n")
+        if first:
+            yield "k,n,count\n"
         for k, counts in columns.items():
-            write("".join([f"{k},{n},{c}\n" for n, c in enumerate(counts, n_lo)]))
+            yield "".join([f"{k},{n},{c}\n" for n, c in enumerate(counts, n_lo)])
     elif output == "json":
-        sep = "["
+        sep = "[" if first else ", "
         for k, counts in columns.items():
-            write(sep + ", ".join([
+            yield sep + ", ".join([
                 f'{{"k": {k}, "n": {n}, "count": "{c}"}}'
                 for n, c in enumerate(counts, n_lo)
-            ]))
+            ])
             sep = ", "
-        write("]\n")
     else:
-        # str(c) is no shorter than str(d) for c >= d >= 0, so each column's
-        # widest cell is that of its largest value
-        wk = max(len("k"), len(str(ks[-1])))
+        # k is one digit; str(c) is no shorter than str(d) for c >= d >= 0,
+        # so each column's widest cell is that of its largest value
         wn = max(len("n"), len(str(n_hi)))
-        wc = max(len("count"), *(len(str(max(c))) for c in columns.values()))
-        write(f"{'k':<{wk}}  {'n':<{wn}}  {'count':<{wc}}\n")
+        wc = agree(max(len("count"), *(len(str(max(c))) for c in columns.values())))
+        if first:
+            yield f"k  {'n':<{wn}}  {'count':<{wc}}\n"
         for k, counts in columns.items():
-            key = f"{k:<{wk}}  "
-            write("".join([
-                f"{key}{n:<{wn}}  {c:<{wc}}\n" for n, c in enumerate(counts, n_lo)
-            ]))
+            yield "".join([
+                f"{k}  {n:<{wn}}  {c:<{wc}}\n" for n, c in enumerate(counts, n_lo)
+            ])
+
+
+def _write_counts(
+    ks: list[int], n_lo: int, n_hi: int, output: str, jobs: int | None
+) -> None:
+    """Write ``count``'s rows, with the k range split among worker processes.
+
+    The shared pbar table is built before the fork, so every child starts
+    from it; a k's own table costs about sqrt(n_hi / k) shifted copies.
+    """
+    from math import sqrt
+
+    forks = _worker_count(jobs, len(ks))
+    if forks:
+        overpartitions(n_hi)
+    shares = _shares(ks, lambda k: sqrt(n_hi / k), forks + 1)
+
+    def work(share, exchange):
+        def agree(width):
+            return int(exchange(str(width)))
+
+        return [
+            block.encode()
+            for block in _count_blocks(share, n_lo, n_hi, output, False, agree)
+        ]
+
+    write = sys.stdout.write
+    with _Workers(shares[1:], work) as workers:
+
+        def agree(width):
+            width = max([width, *(int(w.readline()) for w in workers)])
+            for w in workers:
+                w.send(str(width))
+            return width
+
+        for block in _count_blocks(shares[0], n_lo, n_hi, output, True, agree):
+            write(block)
+        for worker in workers:
+            worker.copy(write)
+    if output == "json":
+        write("]\n")
 
 
 def _write_qbounds(horizons: dict[int, int], output: str, precision: int) -> bool:
@@ -230,9 +493,10 @@ _OUTPUT = click.option(
 )
 _JOBS = click.option(
     "--jobs",
-    type=int,
+    type=click.IntRange(min=1),
     default=None,
-    help="No effect; accepted for compatibility (sweeps run in one thread).",
+    help="Processes that count and lemmas split the k range among "
+    "[default: the CPUs this process may run on]; verify and asym run in one.",
 )
 _PRECISION = click.option(
     "--precision",
@@ -252,8 +516,11 @@ def main() -> None:
 @click.option("--k", "k_spec", required=True, help="k value or range N..M.")
 @click.option("--n", "n_single", type=int, default=None, help="Single index n.")
 @click.option("--n-max", type=int, default=None, help="Emit all n in 0..n-max.")
+@_JOBS
 @_OUTPUT
-def count(k_spec: str, n_single: int | None, n_max: int | None, output: str) -> None:
+def count(
+    k_spec: str, n_single: int | None, n_max: int | None, jobs: int | None, output: str
+) -> None:
     """Print exact counts p_k-bar(n)."""
     ks = _parse_k_range(k_spec)
     if (n_single is None) == (n_max is None):
@@ -270,7 +537,7 @@ def count(k_spec: str, n_single: int | None, n_max: int | None, output: str) -> 
     if output == "table" and len(ks) == 1 and n_lo == n_hi:
         click.echo(str(pk(ks[0], n_hi)))
         return
-    _write_counts(ks, n_lo, n_hi, output)
+    _write_counts(ks, n_lo, n_hi, output, jobs)
 
 
 _DEFAULT_QBOUND_HORIZONS = {2: 8000, 8: 12000}
@@ -454,19 +721,48 @@ def lemmas(
 ) -> None:
     """Exhaustive splitting-lemma verification over a grid; exit 0 iff
     every grid point holds (and is injective where a map is checked)."""
-    from .combinatorics import OverpartitionError, lemma_grid, verify_lemma
+    from .combinatorics import (
+        Constraint,
+        OverpartitionError,
+        count_overpartitions,
+        lemma_grid,
+        verify_lemma,
+    )
 
     ks = _parse_k_range(k_spec)
     if a_max < 1 or total_max < 2:
         raise click.UsageError("need a-max >= 1 and total-max >= 2")
     _check_ceiling("a-max", a_max, A_MAX_CEILING)
     _check_ceiling("total-max", total_max, TOTAL_MAX_CEILING)
-    try:
-        reports = [
+
+    def share_reports(share: list[int]) -> list:
+        return [
             verify_lemma(lemma_id, k, a, b)
-            for k in ks
+            for k in share
             for a, b in lemma_grid(lemma_id, k, a_max, total_max)
         ]
+
+    def cost(k: int) -> int:
+        # about that of enumerating the overpartitions of the k's grid
+        no2 = Constraint(k_regular=k, forbid_twos=True)
+        return sum(
+            count_overpartitions(a + b, no2)
+            for a, b in lemma_grid(lemma_id, k, a_max, total_max)
+        )
+
+    def work(share, exchange):
+        return [pickle.dumps(share_reports(share))]
+
+    try:
+        forks = _worker_count(jobs, len(ks))
+        if forks:
+            import pickle
+        shares = _shares(ks, cost, forks + 1)
+        with _Workers(shares[1:], work) as workers:
+            reports = share_reports(shares[0])
+            for worker in workers:
+                # bytes from a pipe only this program's own child writes to
+                reports += pickle.loads(worker.read())
     except OverpartitionError as exc:
         raise click.UsageError(str(exc))
     if any(rep.mode != "map" for rep in reports):

@@ -66,7 +66,7 @@ def build_spec(k: int) -> EtaQuotientSpec:
 _OVERPARTITIONS: list[int] = [1]
 
 
-def _overpartitions(order: int) -> list[int]:
+def overpartitions(order: int) -> list[int]:
     """The shared table of pbar(n) for n <= ``order`` (and possibly beyond).
 
     Missing entries are appended by the theta recurrence: odd j add
@@ -91,7 +91,7 @@ def pk_series(k: int, order: int) -> tuple[int, ...]:
         raise SeriesError(f"k must be >= 2, got {k}")
     if order < 0:
         raise SeriesError(f"order must be >= 0, got {order}")
-    coeffs = _overpartitions(order)[: order + 1]
+    coeffs = overpartitions(order)[: order + 1]
     doubled = [2 * c for c in coeffs]
     for j in range(1, isqrt(order // k) + 1):
         e = k * j * j
@@ -102,7 +102,9 @@ def pk_series(k: int, order: int) -> tuple[int, ...]:
 
 # Memoized coefficient tuples, one per k, grown geometrically.  Callers run
 # in one thread, so neither this cache nor the shared pbar table takes a
-# lock; completed tuples are immutable.
+# lock; completed tuples are immutable.  A worker process forked by the CLI
+# starts from the parent's tables and grows private copies of both, which
+# the parent never sees.
 _CACHE: dict[int, tuple[int, ...]] = {}
 
 

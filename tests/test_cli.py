@@ -5,9 +5,12 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -439,7 +442,35 @@ class TestLemmas:
         assert digest == self.PINNED[lemma_id, output]
 
 
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this thread if the block runs ``seconds`` long."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    # every forked worker has been waited for: this process has no child
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestJobs:
+    @pytest.fixture
+    def three_cpus(self, monkeypatch):
+        # --jobs 3 then forks two children, whatever this host has
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+        assert cli._worker_count(3, 8) == 2
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -456,6 +487,145 @@ class TestJobs:
         four = runner.invoke(main, base + ["--jobs", "4"])
         assert one.stdout and one.stdout == four.stdout
         assert one.exit_code == four.exit_code
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [*count, "--output", output]
+            for count in (
+                ["count", "--k", "2..9", "--n-max", "300"],
+                ["count", "--k", "2..3", "--n-max", "300"],
+                ["count", "--k", "2..9", "--n", "150"],
+                ["count", "--k", "2..3", "--n", "7"],
+            )
+            for output in ("csv", "json", "table")
+        ] + [
+            ["lemmas", "--id", "2.1", "--k", "2..9", "--total-max", "10"],
+            ["lemmas", "--id", "2.3", "--k", "2..9", "--a-max", "10", "--output", "json"],
+        ],
+        ids=[
+            f"count-{ks}-{n}-{output}"
+            for ks, n in (("2-9", "nmax"), ("2-3", "nmax"), ("2-9", "n"), ("2-3", "n"))
+            for output in ("csv", "json", "table")
+        ] + ["lemmas-2.1", "lemmas-2.3"],
+    )
+    def test_same_output_at_every_job_count(self, runner, three_cpus, args):
+        with deadline(60):
+            results = [
+                runner.invoke(main, args + ["--jobs", jobs]) for jobs in ("1", "2", "3")
+            ]
+        assert_no_child_left()
+        one = results[0]
+        assert one.stdout
+        if args[0] == "lemmas":
+            assert one.exit_code == 1
+        for other in results[1:]:
+            assert (other.exit_code, other.stdout, other.stderr) == (
+                one.exit_code, one.stdout, one.stderr
+            )
+
+    def test_lemma_notice_at_every_job_count(self, runner, three_cpus):
+        args = ["lemmas", "--id", "2.1", "--k", "2..9", "--total-max", "10"]
+        for jobs in ("1", "3"):
+            result = runner.invoke(main, args + ["--jobs", jobs])
+            assert result.exit_code == 1
+            assert "cardinality only" in result.stderr
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["count", "--k", "2", "--n", "10"],
+            ["lemmas", "--id", "2.2", "--k", "3", "--a-max", "3"],
+            ["verify", "turan3", "--k", "3", "--horizon", "40"],
+        ],
+        ids=["count", "lemmas", "verify"],
+    )
+    def test_jobs_below_one_is_usage_error(self, runner, args, jobs):
+        result = runner.invoke(main, args + ["--jobs", jobs])
+        assert result.exit_code == 2
+        assert "--jobs" in result.stderr and result.stdout == ""
+
+    def test_worker_count_is_capped_by_cpus_and_units(self, monkeypatch):
+        # only the count is worked out: no process is started here
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
+        assert cli._worker_count(None, 8) == 3
+        assert cli._worker_count(10**6, 8) == 3
+        assert cli._worker_count(10**6, 2) == 1
+        assert cli._worker_count(2, 8) == 1
+        assert cli._worker_count(1, 8) == 0
+        assert cli._worker_count(10**6, 1) == 0
+
+    def test_no_fork_beside_another_thread_or_without_fork(self, monkeypatch):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(30,))
+        thread.start()
+        try:
+            assert cli._worker_count(4, 8) == 0
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert cli._worker_count(4, 8) == 3
+        monkeypatch.delattr(os, "fork")
+        assert cli._worker_count(4, 8) == 0
+
+    def test_shares_are_contiguous_and_balanced(self):
+        ks = list(range(2, 10))
+        assert cli._shares(ks, lambda k: 1, 1) == [ks]
+        assert cli._shares(ks, lambda k: 1, 2) == [ks[:4], ks[4:]]
+        assert cli._shares(ks, lambda k: 5 if k == 2 else 1, 2) == [ks[:2], ks[2:]]
+        assert cli._shares(ks, lambda k: 20 if k == 9 else 1, 3) == [
+            ks[:6], ks[6:7], ks[7:]
+        ]
+        for parts in range(1, 9):
+            shares = cli._shares(ks, lambda k: k ** -0.5, parts)
+            assert len(shares) == parts and all(shares)
+            assert [k for share in shares for k in share] == ks
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["count", "--k", "2..9", "--n-max", "60", "--output", "csv"],
+            ["count", "--k", "2..9", "--n-max", "60", "--output", "table"],
+            ["lemmas", "--id", "2.2", "--k", "2..9", "--a-max", "6"],
+        ],
+        ids=["count-csv", "count-table", "lemmas"],
+    )
+    @pytest.mark.parametrize(
+        "failing_k, error",
+        [(9, ValueError), (2, ValueError), (2, KeyboardInterrupt)],
+        ids=["child-fails", "parent-fails", "parent-interrupted"],
+    )
+    def test_failure_waits_for_every_child(
+        self, runner, monkeypatch, three_cpus, args, failing_k, error
+    ):
+        # k = 9 lies in the last child's share and k = 2 in the parent's
+        module, name = (
+            (cli, "warm_cache") if args[0] == "count"
+            else (combinatorics, "verify_lemma")
+        )
+        real = getattr(module, name)
+
+        def failing(*a):
+            if failing_k in a[:2]:
+                raise error(f"planted failure at k={failing_k}")
+            return real(*a)
+
+        monkeypatch.setattr(module, name, failing)
+        with deadline(60):
+            result = runner.invoke(main, args + ["--jobs", "3"])
+        assert_no_child_left()
+        assert result.exit_code != 0
+        if error is KeyboardInterrupt:
+            assert "Aborted" in result.stderr
+        else:
+            assert "planted failure at k=" in str(result.exception)
+        if failing_k == 9:
+            assert isinstance(result.exception, RuntimeError)
+            assert "worker for k in [" in str(result.exception)
+            assert "ValueError: planted failure at k=9" in str(result.exception)
 
 
 class TestResourceCeilings:

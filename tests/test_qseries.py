@@ -210,14 +210,14 @@ class TestPkSeries:
 class TestOverpartitionTable:
     def test_first_values(self):
         # OEIS A015128: overpartitions of n
-        table = qseries._overpartitions(10)
+        table = qseries.overpartitions(10)
         assert table[:11] == [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232]
 
     def test_matches_eta_quotient_oracle(self):
         # 1/phi(-q) = (q^2;q^2) / (q;q)^2
         order = 3000
         oracle = eta_quotient_series(EtaQuotientSpec(((1, -2), (2, 1))), order)
-        assert tuple(qseries._overpartitions(order)[: order + 1]) == oracle
+        assert tuple(qseries.overpartitions(order)[: order + 1]) == oracle
 
 
 class TestPkAccessor:
