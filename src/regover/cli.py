@@ -13,12 +13,13 @@ Exit codes: 0 = all checks verified, 1 = counterexample found,
 :data:`regover.precision.MIN_PRECISION` exits 2.  Nothing is read from the
 environment.
 
-``--jobs`` is the number of processes ``count`` and ``lemmas`` split their
-k range among: the parent runs the first share and one forked child runs
-each other share (see the worker section below).  It defaults to the number
-of CPUs the process may run on, a value below 1 exits 2, and the output is
-the same at every value.  ``verify`` and ``asym`` accept it but run in one
-process: forking their sweeps gained nothing measurable.
+``count`` and ``lemmas`` split their k range among worker processes: the
+parent runs the first share and one forked child runs each other share (see
+the worker section below).  ``count`` runs in two processes, or in one where
+only one CPU is usable; ``lemmas`` takes the number from ``--jobs``, with
+the same default, and a value below 1 exits 2.  The output is the same at
+every number of processes.  ``verify`` and ``asym`` accept ``--jobs`` but run
+in one process: forking their sweeps gained nothing measurable.
 
 Inputs that would exhaust time or memory fail early with exit 2, before
 any table is built: ``count --n``/``--n-max``, ``asym --n-max`` and
@@ -48,7 +49,7 @@ import sys
 
 import click
 
-from .qseries import overpartitions, pk, warm_cache
+from .qseries import overpartitions, pk, pk_coefficient, warm_cache
 
 EXIT_COUNTEREXAMPLE = 1
 EXIT_PRECISION = 3
@@ -57,13 +58,13 @@ K_MIN, K_MAX = 2, 9
 
 # Resource ceilings.  Measured on a 2-core host (Python 3.11, pure-Python
 # mpmath), all with ``--k 2..9 --output csv``:
-#   * ``count --n-max 50000`` takes 6.2–6.6 s and 107 MB at ``--jobs 1``, of
+#   * ``count --n-max 50000`` takes 6.2–6.6 s and 107 MB in one process, of
 #     which the eight tables are about 5.3 s and 81 MB and the rest is one
 #     joined block of output per k.  Re-measured on a slower day of the same
-#     host: 8.7–9.3 s and 102 MB at ``--jobs 1``, and 6.0–7.3 s at the
-#     default (two processes), with 70 MB in the parent and 119 MB in the
-#     child, which holds its five k's tables and text until the parent has
-#     written its own three.
+#     host: 7.4 s and 102 MB in one process (``taskset -c 0``), and 4.2–5.4 s
+#     in the default two, with 70 MB in the parent and 82 MB in the child,
+#     which holds its five k's tables, and one k's text at a time, until the
+#     parent has written its own three.
 #   * ``verify logconcave --horizon 50000`` takes 7.4 s and 87 MB, ``verify
 #     turan3`` 10.3 s and 87 MB; ``verify qbounds --horizon 50000`` (about
 #     370 000 certified rows, written as they are decided) takes 23.6 s and
@@ -170,12 +171,15 @@ def _emit(rows: list[dict], output: str) -> None:
 # parent's tables.  multiprocessing costs about 21 ms to import, and a spawned
 # child would import everything again and rebuild the shared pbar table.
 #
-# A child computes its whole share before it writes, since it would otherwise
-# stall on the pipe while the parent is busy with its own share.  It then
-# sends b"+" and its output, or b"-" and the error, and leaves by os._exit, so
-# it never returns into the parent's stack nor flushes the parent's buffers.
-# Before its output a child may send the parent one line and wait for the
-# answer (``count`` agrees on a table's column width so).
+# A child does its share's heavy work before it writes, since it would
+# otherwise wait on the pipe while the parent is busy with its own share.  It
+# then sends b"+" and streams its output, or sends b"-" and the error, and
+# leaves by os._exit, so it never returns into the parent's stack nor flushes
+# the parent's buffers.
+
+# Processes a command runs in by default (fewer where fewer CPUs are usable):
+# the widest setting measured, on a 2-core host.
+_DEFAULT_JOBS = 2
 
 
 def _cpu_count() -> int:
@@ -190,7 +194,7 @@ def _cpu_count() -> int:
 
 def _worker_count(jobs: int | None, units: int) -> int:
     """Children to fork for ``units`` work units: min(jobs, CPUs, units) - 1,
-    with jobs defaulting to the CPU count.
+    with jobs defaulting to :data:`_DEFAULT_JOBS`.
 
     Zero where os.fork is missing or another thread runs: a forked child
     would inherit that thread's locks in whatever state they were.
@@ -200,8 +204,8 @@ def _worker_count(jobs: int | None, units: int) -> int:
 
     if not hasattr(os, "fork") or threading.active_count() != 1:
         return 0
-    cpus = _cpu_count()
-    return max(min(cpus if jobs is None else jobs, cpus, units) - 1, 0)
+    jobs = _DEFAULT_JOBS if jobs is None else jobs
+    return max(min(jobs, _cpu_count(), units) - 1, 0)
 
 
 def _shares(units: list, cost, parts: int) -> list[list]:
@@ -221,36 +225,25 @@ def _shares(units: list, cost, parts: int) -> list[list]:
     return [units[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _serve(share: list, work, out_fd: int, reply_fd: int, foreign: list[int]):
-    """Run ``work(share, exchange)`` in a forked child, send its output to
-    ``out_fd`` and exit; never returns.  ``foreign`` are the inherited pipe
-    ends that belong to the parent or to other children."""
+def _serve(share: list, work, out_fd: int, foreign: list[int]):
+    """In a forked child, send the bytes of ``work(share)`` to ``out_fd`` and
+    exit; never returns.  ``work`` does its heavy part before it returns an
+    iterable of bytes; an error raised later only sets the exit status.
+    ``foreign`` are the inherited pipe ends of the parent and other children.
+    """
     import os
 
     status = 1
     try:
         for fd in foreign:
             os.close(fd)
-        with open(out_fd, "wb") as out, open(reply_fd, "rb") as reply:
-            opened = False
-
-            def send(data: bytes) -> None:
-                nonlocal opened
-                out.write(data if opened else b"+" + data)
-                opened = True
-
-            def exchange(line: str) -> str:
-                send(line.encode() + b"\n")
-                out.flush()
-                return reply.readline().decode()
-
+        with open(out_fd, "wb") as out:
             try:
-                blocks = work(share, exchange)
+                blocks = work(share)
             except Exception as exc:
-                if not opened:
-                    out.write(b"-" + f"{type(exc).__name__}: {exc}".encode())
+                out.write(b"-" + f"{type(exc).__name__}: {exc}".encode())
                 return  # with status 1
-            send(b"")
+            out.write(b"+")
             out.writelines(blocks)
         status = 0
     finally:
@@ -265,35 +258,26 @@ class _Worker:
 
         self.share = share
         out_r, out_w = os.pipe()
-        reply_r, reply_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (out_r, out_w, reply_r, reply_w):
-                os.close(fd)
+            os.close(out_r)
+            os.close(out_w)
             raise
         if pid == 0:
-            foreign = [out_r, reply_w]
-            for w in others:
-                foreign += [w.out.fileno(), w.reply]
-            _serve(share, work, out_w, reply_r, foreign)
+            _serve(share, work, out_w, [out_r, *(w.out.fileno() for w in others)])
         self.pid = pid
         os.close(out_w)
-        os.close(reply_r)
         self.out = open(out_r, "rb")
-        self.reply = reply_w
-        self.opened = False
 
     def _fail(self, why: str):
         raise RuntimeError(f"worker for k in {self.share} failed: {why}")
 
     def _open(self) -> None:
         """Read the child's status byte; raise its error if it failed."""
-        if not self.opened:
-            head = self.out.read(1)
-            if head != b"+":
-                self._fail(self.out.read().decode(errors="replace") or "no output")
-            self.opened = True
+        head = self.out.read(1)
+        if head != b"+":
+            self._fail(self.out.read().decode(errors="replace") or "no output")
 
     def _wait(self) -> None:
         import os
@@ -303,17 +287,6 @@ class _Worker:
         code = os.waitstatus_to_exitcode(status)
         if code:
             self._fail(f"exit status {code}")
-
-    def readline(self) -> str:
-        """The line the child sends before its output."""
-        self._open()
-        return self.out.readline().decode()
-
-    def send(self, line: str) -> None:
-        """Answer the child's line."""
-        import os
-
-        os.write(self.reply, line.encode() + b"\n")
 
     def copy(self, write) -> None:
         """Pass the child's output, ASCII text, to ``write`` in bounded
@@ -331,7 +304,7 @@ class _Worker:
         return data
 
     def close(self) -> None:
-        """Kill the child if it may still run, wait for it, close the pipes."""
+        """Kill the child if it may still run, wait for it, close the pipe."""
         import os
 
         if self.pid is not None:
@@ -341,7 +314,6 @@ class _Worker:
             os.waitpid(self.pid, 0)
             self.pid = None
         self.out.close()
-        os.close(self.reply)
 
 
 class _Workers(list):
@@ -366,18 +338,14 @@ class _Workers(list):
             worker.close()
 
 
-def _count_blocks(
-    ks: list[int], n_lo: int, n_hi: int, output: str, first: bool, agree
-):
+def _count_blocks(ks: list[int], n_lo: int, n_hi: int, output: str, first: bool, wc: int):
     """Yield ``count``'s rows for the k in ``ks`` and n in n_lo..n_hi, one
     joined block of text per k, sliced from the memoized coefficients.
 
     Together the blocks of every share, and then "]\n" for json, are the
     bytes :func:`_emit` gives for the rows ``{"k": k, "n": n, "count":
     str(count)}``.  The ``first`` share also yields the header and opens the
-    json array.  ``agree(width)`` turns this share's widest count cell into
-    the widest of all shares; it is called, for a table, once every table of
-    the share is built and before any text is yielded.
+    json array.  ``wc`` is the table's count column width, over all shares.
     """
     columns = {k: warm_cache(k, n_hi)[n_lo : n_hi + 1] for k in ks}
     if output == "csv":
@@ -394,10 +362,7 @@ def _count_blocks(
             ])
             sep = ", "
     else:
-        # k is one digit; str(c) is no shorter than str(d) for c >= d >= 0,
-        # so each column's widest cell is that of its largest value
         wn = max(len("n"), len(str(n_hi)))
-        wc = agree(max(len("count"), *(len(str(max(c))) for c in columns.values())))
         if first:
             yield f"k  {'n':<{wn}}  {'count':<{wc}}\n"
         for k, counts in columns.items():
@@ -406,9 +371,7 @@ def _count_blocks(
             ])
 
 
-def _write_counts(
-    ks: list[int], n_lo: int, n_hi: int, output: str, jobs: int | None
-) -> None:
+def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
     """Write ``count``'s rows, with the k range split among worker processes.
 
     The shared pbar table is built before the fork, so every child starts
@@ -416,30 +379,27 @@ def _write_counts(
     """
     from math import sqrt
 
-    forks = _worker_count(jobs, len(ks))
+    forks = _worker_count(None, len(ks))
     if forks:
         overpartitions(n_hi)
+    wc = 0
+    if output == "table":
+        # k is one digit.  pbar_k(n) never decreases in n (adding a part 1 is
+        # injective), so each column's widest cell is that of its last row.
+        wc = max(len("count"), *(len(str(pk_coefficient(k, n_hi))) for k in ks))
     shares = _shares(ks, lambda k: sqrt(n_hi / k), forks + 1)
 
-    def work(share, exchange):
-        def agree(width):
-            return int(exchange(str(width)))
-
-        return [
+    def work(share):
+        for k in share:
+            warm_cache(k, n_hi)
+        return (
             block.encode()
-            for block in _count_blocks(share, n_lo, n_hi, output, False, agree)
-        ]
+            for block in _count_blocks(share, n_lo, n_hi, output, False, wc)
+        )
 
     write = sys.stdout.write
     with _Workers(shares[1:], work) as workers:
-
-        def agree(width):
-            width = max([width, *(int(w.readline()) for w in workers)])
-            for w in workers:
-                w.send(str(width))
-            return width
-
-        for block in _count_blocks(shares[0], n_lo, n_hi, output, True, agree):
+        for block in _count_blocks(shares[0], n_lo, n_hi, output, True, wc):
             write(block)
         for worker in workers:
             worker.copy(write)
@@ -495,8 +455,8 @@ _JOBS = click.option(
     "--jobs",
     type=click.IntRange(min=1),
     default=None,
-    help="Processes that count and lemmas split the k range among "
-    "[default: the CPUs this process may run on]; verify and asym run in one.",
+    help="Processes that lemmas splits the k range among [default: 2, or the "
+    "CPUs this process may run on if fewer]; verify and asym run in one.",
 )
 _PRECISION = click.option(
     "--precision",
@@ -516,11 +476,8 @@ def main() -> None:
 @click.option("--k", "k_spec", required=True, help="k value or range N..M.")
 @click.option("--n", "n_single", type=int, default=None, help="Single index n.")
 @click.option("--n-max", type=int, default=None, help="Emit all n in 0..n-max.")
-@_JOBS
 @_OUTPUT
-def count(
-    k_spec: str, n_single: int | None, n_max: int | None, jobs: int | None, output: str
-) -> None:
+def count(k_spec: str, n_single: int | None, n_max: int | None, output: str) -> None:
     """Print exact counts p_k-bar(n)."""
     ks = _parse_k_range(k_spec)
     if (n_single is None) == (n_max is None):
@@ -537,7 +494,7 @@ def count(
     if output == "table" and len(ks) == 1 and n_lo == n_hi:
         click.echo(str(pk(ks[0], n_hi)))
         return
-    _write_counts(ks, n_lo, n_hi, output, jobs)
+    _write_counts(ks, n_lo, n_hi, output)
 
 
 _DEFAULT_QBOUND_HORIZONS = {2: 8000, 8: 12000}
@@ -750,7 +707,7 @@ def lemmas(
             for a, b in lemma_grid(lemma_id, k, a_max, total_max)
         )
 
-    def work(share, exchange):
+    def work(share):
         return [pickle.dumps(share_reports(share))]
 
     try:

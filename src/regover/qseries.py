@@ -100,6 +100,18 @@ def pk_series(k: int, order: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def pk_coefficient(k: int, n: int) -> int:
+    """pbar_k(n) alone, from the shared pbar table: floor(sqrt(n/k)) terms,
+    with no k-regular table built or memoized."""
+    if k < 2:
+        raise SeriesError(f"k must be >= 2, got {k}")
+    if n < 0:
+        raise SeriesError(f"n must be >= 0, got {n}")
+    table = overpartitions(n)
+    shifted = [table[n - k * j * j] for j in range(1, isqrt(n // k) + 1)]
+    return table[n] + 2 * (sum(shifted[1::2]) - sum(shifted[::2]))
+
+
 # Memoized coefficient tuples, one per k, grown geometrically.  Callers run
 # in one thread, so neither this cache nor the shared pbar table takes a
 # lock; completed tuples are immutable.  A worker process forked by the CLI

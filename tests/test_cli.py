@@ -467,9 +467,11 @@ def assert_no_child_left():
 class TestJobs:
     @pytest.fixture
     def three_cpus(self, monkeypatch):
-        # --jobs 3 then forks two children, whatever this host has
+        # three processes, two of them forked, by default or at --jobs 3,
+        # whatever this host has
         monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
-        assert cli._worker_count(3, 8) == 2
+        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 3)
+        assert cli._worker_count(None, 8) == cli._worker_count(3, 8) == 2
 
     @pytest.mark.parametrize(
         "args",
@@ -509,11 +511,14 @@ class TestJobs:
             for output in ("csv", "json", "table")
         ] + ["lemmas-2.1", "lemmas-2.3"],
     )
-    def test_same_output_at_every_job_count(self, runner, three_cpus, args):
+    def test_same_output_at_every_job_count(self, runner, monkeypatch, three_cpus, args):
+        results = []
         with deadline(60):
-            results = [
-                runner.invoke(main, args + ["--jobs", jobs]) for jobs in ("1", "2", "3")
-            ]
+            for processes in (1, 2, 3):
+                # count runs in the default number; lemmas gets --jobs too
+                monkeypatch.setattr(cli, "_DEFAULT_JOBS", processes)
+                jobs = ["--jobs", str(processes)] if args[0] == "lemmas" else []
+                results.append(runner.invoke(main, args + jobs))
         assert_no_child_left()
         one = results[0]
         assert one.stdout
@@ -535,11 +540,11 @@ class TestJobs:
     @pytest.mark.parametrize(
         "args",
         [
-            ["count", "--k", "2", "--n", "10"],
             ["lemmas", "--id", "2.2", "--k", "3", "--a-max", "3"],
             ["verify", "turan3", "--k", "3", "--horizon", "40"],
+            ["asym", "--k", "3", "--n-min", "400", "--n-max", "400"],
         ],
-        ids=["count", "lemmas", "verify"],
+        ids=["lemmas", "verify", "asym"],
     )
     def test_jobs_below_one_is_usage_error(self, runner, args, jobs):
         result = runner.invoke(main, args + ["--jobs", jobs])
@@ -549,12 +554,16 @@ class TestJobs:
     def test_worker_count_is_capped_by_cpus_and_units(self, monkeypatch):
         # only the count is worked out: no process is started here
         monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
+        assert cli._worker_count(None, 8) == 1
+        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 4)
         assert cli._worker_count(None, 8) == 3
         assert cli._worker_count(10**6, 8) == 3
         assert cli._worker_count(10**6, 2) == 1
         assert cli._worker_count(2, 8) == 1
         assert cli._worker_count(1, 8) == 0
         assert cli._worker_count(10**6, 1) == 0
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        assert cli._worker_count(None, 8) == 0
 
     def test_no_fork_beside_another_thread_or_without_fork(self, monkeypatch):
         monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
@@ -615,7 +624,7 @@ class TestJobs:
 
         monkeypatch.setattr(module, name, failing)
         with deadline(60):
-            result = runner.invoke(main, args + ["--jobs", "3"])
+            result = runner.invoke(main, args)
         assert_no_child_left()
         assert result.exit_code != 0
         if error is KeyboardInterrupt:
@@ -626,6 +635,23 @@ class TestJobs:
             assert isinstance(result.exception, RuntimeError)
             assert "worker for k in [" in str(result.exception)
             assert "ValueError: planted failure at k=9" in str(result.exception)
+
+    def test_child_failing_while_it_writes(self, runner, monkeypatch, three_cpus):
+        # the last child has built its tables and sent part of its rows
+        real = cli._count_blocks
+
+        def failing(ks, *a):
+            yield from real(ks, *a)
+            if 9 in ks:
+                raise ValueError("planted failure after the rows")
+
+        monkeypatch.setattr(cli, "_count_blocks", failing)
+        with deadline(60):
+            result = runner.invoke(main, ["count", "--k", "2..9", "--n-max", "60"])
+        assert_no_child_left()
+        assert isinstance(result.exception, RuntimeError)
+        assert "worker for k in [" in str(result.exception)
+        assert "exit status 1" in str(result.exception)
 
 
 class TestResourceCeilings:

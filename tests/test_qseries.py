@@ -251,6 +251,20 @@ class TestPkAccessor:
             pk(2, -1)
 
 
+class TestPkCoefficient:
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_matches_the_table(self, k):
+        table = pk_series(k, 2000)
+        for n in (0, 1, k - 1, k, 4 * k, 999, 2000):
+            assert qseries.pk_coefficient(k, n) == table[n]
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(SeriesError):
+            qseries.pk_coefficient(1, 5)
+        with pytest.raises(SeriesError):
+            qseries.pk_coefficient(2, -1)
+
+
 # Congruence oracles.  With T = sum_{j>=1} (-1)^j q^(j^2), phi(-q) = 1 + 2T
 # and pk-bar = phi(-q^k) / phi(-q).  Since 1/(1 + 2T) = 1 - 2T + 4T^2 (mod 8),
 #   pk-bar = (1 + 2T(q^k)) (1 - 2T + 4T^2)
