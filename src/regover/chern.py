@@ -13,7 +13,8 @@ here has Delta1 = 0 and Delta2 = 0, which is asserted rather than assumed.
 The full truncated expansion over the Kloosterman-type sums is implemented
 for validation experiments (the truncation cutoff N is a caller-chosen
 parameter; the source derivation takes N = floor(mu)), while certified
-brackets rely exclusively on the printed main-term/remainder tables.
+brackets rely only on the main term's leading coefficient, computed from
+the invariants, and on the printed remainder table.
 """
 
 from __future__ import annotations
@@ -147,24 +148,6 @@ def a_hat(
     return real
 
 
-# Printed main-term constants: coeff * sqrt(rad) * pi^2 / mu_k.  NOTE:
-# these published closed forms are exactly class_count(k) times the true
-# leading coefficient of the verified expansion (the factor arises from
-# erroneously multiplying the pulled-out per-class constant by the number
-# of contributing residue classes).  main_term() uses the true constant,
-# computed from the invariants; the printed values are retained for
-# documentation and cross-checks via printed_main_constant().
-_C_TABLE: dict[int, tuple[Fraction, int]] = {
-    2: (Fraction(1, 8), 8),
-    3: (Fraction(2, 9), 3),
-    4: (Fraction(3, 4), 1),
-    5: (Fraction(8, 25), 5),
-    6: (Fraction(5, 18), 6),
-    7: (Fraction(18, 49), 7),
-    8: (Fraction(7, 8), 2),
-    9: (Fraction(8, 9), 1),
-}
-
 # Remainder bounds: R'_k(n) = coeff * sqrt(rad) * pi^(3/2) / sqrt(mu_k)
 #                             * exp(mu_k / rate)
 _R_TABLE: dict[int, tuple[Fraction, int, int]] = {
@@ -185,7 +168,7 @@ NDOT_K = {2: 43, 3: 49, 4: 43, 5: 58, 6: 130, 7: 102, 8: 129, 9: 268}
 
 
 def _check_k(k: int) -> None:
-    if k not in _C_TABLE:
+    if k not in _R_TABLE:
         raise ChernError(f"asymptotic constants available for k in 2..9, got {k}")
 
 
@@ -203,41 +186,14 @@ def _invariants_for_k(k: int) -> ChernInvariants:
     return invariants(build_spec(k))
 
 
-def class_count(k: int) -> int:
-    """Number of contributing residue classes; requires them homogeneous.
-
-    All eight specs have Delta3 and Delta4 constant across the positive
-    classes, which is what lets a single constant be pulled out of the
-    expansion; this is verified, not assumed.
-    """
-    _check_k(k)
-    inv = _invariants_for_k(k)
-    d3 = {inv.delta3[l] for l in inv.l_pos}
-    d4 = {inv.delta4_sq[l] for l in inv.l_pos}
-    if len(d3) != 1 or len(d4) != 1:
-        raise ChernError(f"inhomogeneous positive classes for k={k}")
-    return len(inv.l_pos)
-
-
-def printed_main_constant(
-    k: int, n: int, precision: int = DEFAULT_PRECISION
-) -> Interval:
-    """The published closed-form constant (class_count times the true one)."""
-    _check_k(k)
-    if n < 1:
-        raise ChernError(f"n must be >= 1, got {n}")
-    m = mu(k, n, precision).value
-    coeff, rad = _C_TABLE[k]
-    return coeff * Interval.from_exact(rad, precision).sqrt() * pi(
-        precision
-    ).pow_int(2) / m
-
-
 def main_term(k: int, n: int, precision: int = DEFAULT_PRECISION) -> Interval:
     """Enclosure of the true Bessel main term C_k(n) * I1(mu_k(n)).
 
     The constant is 2 pi sqrt(Delta4(1)^2 Delta3(1) / (24 n + Delta2)),
-    the leading (kk = 1) coefficient of the verified expansion.
+    the leading (kk = 1) coefficient of the verified expansion.  The
+    paper's printed closed-form constants are this one times the number of
+    positive residue classes, an erratum that ``tests/test_chern.py``
+    (``TestMainTerm``) checks against the printed table.
     """
     _check_k(k)
     if n < 1:

@@ -10,7 +10,9 @@ Exit codes: 0 = all checks verified, 1 = counterexample found,
 
 ``--precision`` is the only precision setting: it defaults to
 :data:`regover.precision.DEFAULT_PRECISION` (192 bits), and a value below
-:data:`regover.precision.MIN_PRECISION` exits 2.  Nothing is read from the
+:data:`regover.precision.MIN_PRECISION` or above
+:data:`regover.precision.MAX_PRECISION` (768 bits, where certified
+comparisons stop escalating) exits 2.  Nothing is read from the
 environment.
 
 ``count`` and ``lemmas`` split their k range among worker processes: the
@@ -112,13 +114,17 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _resolve_precision(precision: int | None) -> int:
-    from .precision import DEFAULT_PRECISION, MIN_PRECISION
+    from .precision import DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION
 
     if precision is None:
         return DEFAULT_PRECISION
     if precision < MIN_PRECISION:
         raise click.UsageError(
             f"precision must be >= {MIN_PRECISION} bits, got {precision}"
+        )
+    if precision > MAX_PRECISION:
+        raise click.UsageError(
+            f"precision must be <= {MAX_PRECISION} bits, got {precision}"
         )
     return precision
 
@@ -462,7 +468,7 @@ _PRECISION = click.option(
     "--precision",
     type=int,
     default=None,
-    help="Working precision in bits [default: 192].",
+    help="Working precision in bits, 64 to 768 [default: 192].",
 )
 
 
@@ -616,8 +622,8 @@ def asym(
 
     ks = _parse_k_range(k_spec)
     precision = _resolve_precision(precision)
-    if n_min < 0 or n_max < n_min or step < 1:
-        raise click.UsageError("need 0 <= n-min <= n-max and step >= 1")
+    if n_min < 1 or n_max < n_min or step < 1:
+        raise click.UsageError("need 1 <= n-min <= n-max and step >= 1")
     _check_ceiling("n-max", n_max, N_MAX_CEILING)
     ns = list(range(n_min, n_max + 1, step))
     rows = []

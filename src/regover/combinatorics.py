@@ -26,11 +26,10 @@ dynamic programme over part sizes in increasing order, each new largest size
 prepended as one block; cf. Knuth, TAOCP 4A, §7.2.1.4), and the map bodies
 ``_f1_parts``, ``_f2_parts`` and ``_f3_parts`` take a canonical tuple to its
 (left, right) image tuples, which are canonical by construction (each body
-gives the argument).  ``Overpartition(parts)`` is the validating public
-boundary: it sorts the parts into canonical order and rejects non-positive
-sizes and repeated overlines.  The public ``f1_map``/``f2_map``/``f3_map``
-check that their input lies in the map's domain, apply the body and wrap the
-images in a ``SplitPair``.
+gives the argument).  The bodies do not check their input: their one caller,
+:func:`verify_lemma`, hands them the elements of the domain it enumerates.
+f1's rules are stated for k >= 5 only; below that, lemma 2.1 is checked by
+cardinality.
 
 :func:`verify_lemma` trusts none of that construction: it checks every image
 of every mapped lemma for its weight (the sum of its part sizes), codomain
@@ -55,7 +54,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 
 class OverpartitionError(ValueError):
-    """Raised when an input violates a map's precondition."""
+    """Raised on an argument outside a function's domain."""
 
 
 class UnsupportedCaseError(OverpartitionError):
@@ -66,39 +65,9 @@ Part = tuple[int, bool]  # (size, overlined)
 Parts = tuple[Part, ...]
 
 
-def _canonical(parts) -> Parts:
-    return tuple(sorted(parts, key=lambda p: (-p[0], not p[1])))
-
-
 def _format(parts: Parts) -> str:
     """The parts in order, an overlined size marked ``~``: ``(3~,3,1)``."""
     return "(" + ",".join(f"{s}~" if o else str(s) for s, o in parts) + ")"
-
-
-@dataclass(frozen=True, slots=True)
-class Overpartition:
-    """Canonical multiset of parts with per-size overline flags."""
-
-    parts: Parts
-
-    def __post_init__(self):
-        parts = _canonical((int(s), bool(o)) for s, o in self.parts)
-        seen_over = set()
-        for s, o in parts:
-            if s < 1:
-                raise OverpartitionError(f"part sizes must be positive, got {s}")
-            if o:
-                if s in seen_over:
-                    raise OverpartitionError(f"size {s} overlined more than once")
-                seen_over.add(s)
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(map(itemgetter(0), self.parts))
-
-    def __str__(self) -> str:
-        return _format(self.parts)
 
 
 # The single parts the maps split off or add.
@@ -144,12 +113,6 @@ class Constraint:
             [(s, True) for s in range(1, max_size + 1) if self.allows_size(s)]
             + [(s, False) for s in range(1, max_size + 1) if self.allows_plain(s)]
         )
-
-
-@dataclass(frozen=True, slots=True)
-class SplitPair:
-    left: Overpartition
-    right: Overpartition
 
 
 # Bounded, yet enough for one k's working set in verify_lemma: the domain at
@@ -361,51 +324,6 @@ def _f3_parts(parts: Parts) -> tuple[Parts, Parts]:
         return head + _as_ones(over, size - 2), OVER1_ONE
     # s == 0, r == 1
     return head + _as_ones(over, size - 1), TWO_OVER
-
-
-def _split(
-    op: Overpartition, domain: Constraint, min_weight: int, body, *args
-) -> SplitPair:
-    """Apply the map ``body`` to the parts of ``op``, which must lie in
-    ``domain``'s set with weight >= ``min_weight``, and wrap the images."""
-    weight = op.weight
-    if not domain.allowed_parts(weight).issuperset(op.parts):
-        banned = "no 1's and no 2's" if domain.forbid_ones else "no 2's"
-        k = domain.k_regular
-        raise OverpartitionError(f"{op} is not {k}-regular with {banned}")
-    if weight < min_weight:
-        raise OverpartitionError(f"domain requires weight >= {min_weight}")
-    left, right = body(op.parts, *args)
-    return SplitPair(Overpartition(left), Overpartition(right))
-
-
-def f1_map(op: Overpartition, k: int, a: int, b: int) -> SplitPair:
-    """Split an overpartition of a+b with no plain 1's or 2's into
-    (weight a, no plain 1's) x (weight b, no plain 2's).
-
-    Implemented for k >= 5; the construction is case analysis on the
-    residue of the slack y at the split index.  For k in {2,3,4} the rules
-    are not spelled out and verification falls back to cardinality
-    comparison (see :func:`verify_lemma`).
-    """
-    if k in (2, 3, 4):
-        raise UnsupportedCaseError(f"split rules unavailable for k={k}")
-    if a < 1 or b < 1:
-        raise OverpartitionError("need a, b >= 1")
-    if op.weight != a + b:
-        raise OverpartitionError(f"weight {op.weight} != a+b = {a + b}")
-    no12 = Constraint(k_regular=k, forbid_ones=True, forbid_twos=True)
-    return _split(op, no12, a + b, _f1_parts, k, b)
-
-
-def f2_map(op: Overpartition, k: int) -> SplitPair:
-    """Split an overpartition of a+1 with no plain 2's into (weight a, weight 1)."""
-    return _split(op, Constraint(k_regular=k, forbid_twos=True), 1, _f2_parts)
-
-
-def f3_map(op: Overpartition, k: int) -> SplitPair:
-    """Split an overpartition of a+2 with no plain 2's into (weight a, weight 2)."""
-    return _split(op, Constraint(k_regular=k, forbid_twos=True), 2, _f3_parts)
 
 
 class _Lemma(NamedTuple):

@@ -64,8 +64,8 @@ _QB_TABLE: dict[int, tuple[int, int, int, int, Fraction]] = {
 }
 
 
-# The exact inequalities on coefficient values, shared by the per-index
-# checks and by scan_thresholds, which reads the cached tables directly.
+# The exact inequalities on coefficient values, which scan_thresholds
+# decides on the cached tables.
 
 
 def _subadditive(pa: int, pb: int, pab: int) -> bool:
@@ -85,48 +85,11 @@ def _turan3(a0: int, a1: int, a2: int, a3: int) -> bool:
     return 4 * (a1 * a1 - a0 * a2) * (a2 * a2 - a1 * a3) > (a1 * a2 - a0 * a3) ** 2
 
 
-def check_subadditivity(k: int, a: int, b: int) -> bool:
-    """Exact strict log-subadditivity p(a) p(b) > p(a+b)."""
-    if k < 2:
-        raise InequalityError(f"k must be >= 2, got {k}")
-    if not (a >= b >= 1):
-        raise InequalityError(f"need a >= b >= 1, got a={a}, b={b}")
-    if a + b < k:
-        raise InequalityError(f"need a + b >= k, got {a}+{b} < {k}")
-    return _subadditive(pk(k, a), pk(k, b), pk(k, a + b))
-
-
 def q_ratio(k: int, n: int) -> Fraction:
     """Exact ratio p(n-1) p(n+1) / p(n)^2."""
     if n < 1:
         raise InequalityError(f"n must be >= 1, got {n}")
     return Fraction(pk(k, n - 1) * pk(k, n + 1), pk(k, n) ** 2)
-
-
-def check_logconcave(k: int, n: int, strict: bool = True) -> bool:
-    """Exact log-concavity p(n)^2 > p(n-1) p(n+1) (or >= when strict=False).
-
-    Strict is the default; exact equality occurs at a handful of small n
-    (e.g. 24^2 = 16 * 36 at k=3, n=6), where only the weak form holds.
-    """
-    if n < 1:
-        raise InequalityError(f"n must be >= 1, got {n}")
-    sign = _logconcave_sign(pk(k, n - 1), pk(k, n), pk(k, n + 1))
-    return sign > 0 if strict else sign >= 0
-
-
-def logconcave_equality(k: int, n: int) -> bool:
-    """True iff p(n)^2 equals p(n-1) p(n+1) exactly."""
-    if n < 1:
-        raise InequalityError(f"n must be >= 1, got {n}")
-    return _logconcave_sign(pk(k, n - 1), pk(k, n), pk(k, n + 1)) == 0
-
-
-def check_turan3(k: int, n: int) -> bool:
-    """Exact strict third-order Turan inequality at index n."""
-    if n < 1:
-        raise InequalityError(f"n must be >= 1, got {n}")
-    return _turan3(pk(k, n - 1), pk(k, n), pk(k, n + 1), pk(k, n + 2))
 
 
 class QEnclosure(NamedTuple):

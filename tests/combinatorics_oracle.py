@@ -2,25 +2,26 @@
 
 A recursive generator walks part sizes from the largest down and, for each
 admissible size and multiplicity, chooses whether the first copy is
-overlined.  Every result goes through the validating ``Overpartition``
-constructor, and the list is sorted by ``parts``, so it shares no
-construction with the dynamic programme of
-``regover.combinatorics.enumerate_overpartitions``.  ``test_combinatorics.py``
-requires that function's part tuples to be this list's ``parts``, element
-for element.
+overlined.  Every result is asserted to be in canonical order (sizes
+non-increasing, an overlined copy ahead of the plain copies of its size),
+and the list is sorted, so it shares no construction with the dynamic
+programme of ``regover.combinatorics.enumerate_overpartitions``.
+``test_combinatorics.py`` requires that function's part tuples to be this
+list, element for element.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from regover.combinatorics import Constraint, Overpartition, Part
+from regover.combinatorics import Constraint, Part
 
 
 def enumerate_overpartitions_oracle(
     n: int, constraint: Constraint = Constraint()
-) -> tuple[Overpartition, ...]:
-    """All overpartitions of n satisfying the constraint, ordered by parts."""
+) -> tuple[tuple[Part, ...], ...]:
+    """The part tuples of all overpartitions of n satisfying the
+    constraint, in increasing order."""
 
     def gen(remaining: int, max_size: int) -> Iterator[tuple[Part, ...]]:
         if remaining == 0:
@@ -40,6 +41,7 @@ def enumerate_overpartitions_oracle(
                     for rest in gen(remaining - s * mult, s - 1):
                         yield head + rest
 
-    ops = [Overpartition(p) for p in gen(n, n)]
-    ops.sort(key=lambda op: op.parts)
-    return tuple(ops)
+    parts = sorted(gen(n, n))
+    for p in parts:
+        assert p == tuple(sorted(p, key=lambda q: (-q[0], not q[1]))), p
+    return tuple(parts)

@@ -13,18 +13,16 @@ from regover.chern import (
     NDOT_K,
     a_hat,
     check_admissibility,
-    class_count,
     estimate,
     invariants,
     main_term,
     pk_bounds,
-    printed_main_constant,
     remainder_bound,
     truncated_expansion,
     verify_bracket,
     verify_corollary_bracket,
 )
-from regover.numerics import Interval, PrecisionExhausted, dedekind_sum, mu
+from regover.numerics import Interval, PrecisionExhausted, dedekind_sum, mu, pi
 from regover.qseries import EtaQuotientSpec, build_spec, pk
 
 KS = list(range(2, 10))
@@ -111,21 +109,42 @@ class TestAHat:
 
 
 class TestMainTerm:
-    # positive residue classes per k; the printed closed-form constants
-    # are exactly this factor times the true leading coefficient
+    # positive residue classes per k; the paper's printed closed-form
+    # constants are exactly this factor times the true leading coefficient
     COUNTS = {2: 2, 3: 2, 4: 4, 5: 4, 6: 4, 7: 6, 8: 8, 9: 6}
+    # the printed main-term constants coeff * sqrt(rad) * pi^2 / mu_k(n),
+    # as (coeff, rad)
+    PRINTED = {
+        2: (Fraction(1, 8), 8),
+        3: (Fraction(2, 9), 3),
+        4: (Fraction(3, 4), 1),
+        5: (Fraction(8, 25), 5),
+        6: (Fraction(5, 18), 6),
+        7: (Fraction(18, 49), 7),
+        8: (Fraction(7, 8), 2),
+        9: (Fraction(8, 9), 1),
+    }
 
     @pytest.mark.parametrize("k", KS)
     def test_class_count(self, k):
-        assert class_count(k) == self.COUNTS[k]
+        # Delta3 and Delta4 are constant across the positive classes, which
+        # is what lets one constant be pulled out of the expansion
+        inv = invariants(build_spec(k))
+        assert len(inv.l_pos) == self.COUNTS[k]
+        assert len({inv.delta3[l] for l in inv.l_pos}) == 1
+        assert len({inv.delta4_sq[l] for l in inv.l_pos}) == 1
 
     @pytest.mark.parametrize("k", KS)
     def test_printed_constant_is_class_count_multiple(self, k):
+        # the erratum main_term corrects: the printed constant is the true
+        # one times the number of positive classes
         n = 777
-        printed = printed_main_constant(k, n)
+        coeff, rad = self.PRINTED[k]
+        printed = (
+            coeff * Interval.from_exact(rad).sqrt() * pi(192).pow_int(2)
+            / mu(k, n).value
+        )
         inv = invariants(build_spec(k))
-        from regover.numerics import Interval, pi
-
         true = 2 * pi(192) * Interval.from_exact(
             inv.delta4_sq[1] * inv.delta3[1] / Fraction(24 * n)
         ).sqrt()

@@ -655,6 +655,23 @@ class TestJobs:
 
 
 class TestResourceCeilings:
+    @staticmethod
+    def forbid_work(monkeypatch):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("work started on a refused input")
+
+        # the subcommands look estimate and verify_lemma up on their home
+        # modules when they run
+        for module, name in [
+            (cli, "warm_cache"),
+            (cli, "pk"),
+            (chern, "estimate"),
+            (combinatorics, "verify_lemma"),
+            (inequalities, "scan_thresholds"),
+            (inequalities, "verify_q_containment"),
+        ]:
+            monkeypatch.setattr(module, name, no_work)
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -674,25 +691,60 @@ class TestResourceCeilings:
         ],
     )
     def test_ceiling_plus_one_exits_two_at_once(self, runner, monkeypatch, args):
-        def no_work(*_args, **_kwargs):
-            raise AssertionError("work started above the resource ceiling")
-
-        # the subcommands look estimate and verify_lemma up on their home
-        # modules when they run
-        for module, name in [
-            (cli, "warm_cache"),
-            (cli, "pk"),
-            (chern, "estimate"),
-            (combinatorics, "verify_lemma"),
-            (inequalities, "scan_thresholds"),
-            (inequalities, "verify_q_containment"),
-        ]:
-            monkeypatch.setattr(module, name, no_work)
+        self.forbid_work(monkeypatch)
         started = time.monotonic()
         result = runner.invoke(main, args)
         assert time.monotonic() - started < 1
         assert result.exit_code == 2
         assert "exceeds the resource ceiling" in result.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["asym", "--k", "2..9", "--n-min", "0", "--n-max", "50000"],
+                "need 1 <= n-min <= n-max and step >= 1",
+            ),
+            (
+                ["asym", "--k", "3", "--n-min", "600", "--n-max", "600",
+                 "--precision", "769"],
+                "precision must be <= 768 bits, got 769",
+            ),
+            (
+                ["verify", "qbounds", "--k", "3", "--horizon", "400",
+                 "--precision", "769"],
+                "precision must be <= 768 bits, got 769",
+            ),
+            (
+                ["verify", "turan3", "--k", "2..9", "--precision", "769"],
+                "precision must be <= 768 bits, got 769",
+            ),
+        ],
+        ids=["asym-n-min-0", "asym-precision", "qbounds-precision", "turan3-precision"],
+    )
+    def test_refused_before_any_table(self, runner, monkeypatch, args, message):
+        # n = 0 has no mu, and certified comparisons never escalate past
+        # MAX_PRECISION: both are usage errors before any table is built
+        self.forbid_work(monkeypatch)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["asym", "--k", "3", "--n-min", "600", "--n-max", "600",
+             "--precision", "768", "--output", "csv"],
+            ["verify", "qbounds", "--k", "3", "--horizon", "366",
+             "--precision", "768", "--output", "csv"],
+        ],
+        ids=["asym", "qbounds"],
+    )
+    def test_max_precision_is_accepted(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert rows_from_csv(result.stdout)
 
     def test_ceilings_cover_the_benchmark_and_test_sizes(self):
         # the benchmark's largest count --n-max (8000) and verify --horizon

@@ -9,18 +9,15 @@ import pytest
 from regover import combinatorics
 from regover.combinatorics import (
     Constraint,
-    Overpartition,
     OverpartitionError,
     UnsupportedCaseError,
     _count_walk,
     _f1_parts,
     _f2_parts,
     _f3_parts,
+    _format,
     count_overpartitions,
     enumerate_overpartitions,
-    f1_map,
-    f2_map,
-    f3_map,
     lemma_grid,
     verify_lemma,
 )
@@ -32,30 +29,19 @@ from conftest import lemma_holds, no_witness
 KS = list(range(2, 10))
 
 
-def op(*parts):
-    return Overpartition(tuple(parts))
-
-
 class TestOverpartition:
     def test_canonical_order(self):
-        o = op((1, False), (3, False), (3, True), (1, True))
-        assert o.parts == ((3, True), (3, False), (1, True), (1, False))
-
-    def test_weight(self):
-        assert op((4, True), (1, False)).weight == 5
-        assert op().weight == 0
-
-    def test_duplicate_overline_rejected(self):
-        with pytest.raises(OverpartitionError):
-            op((2, True), (2, True))
-
-    def test_nonpositive_size_rejected(self):
-        with pytest.raises(OverpartitionError):
-            op((0, False))
+        # sizes non-increasing, an overlined copy ahead of the plain ones
+        assert ((3, True), (3, False), (1, True), (1, False)) in (
+            enumerate_overpartitions(8)
+        )
+        assert ((3, False), (3, True), (1, False), (1, True)) not in (
+            enumerate_overpartitions(8)
+        )
 
     def test_str_marks_overlines(self):
-        assert str(op((1, False), (3, False), (3, True))) == "(3~,3,1)"
-        assert str(op()) == "()"
+        assert _format(((3, True), (3, False), (1, False))) == "(3~,3,1)"
+        assert _format(()) == "()"
 
     def test_witness_rendered_from_parts(self):
         # the witness string names (mu; right) in the notation of __str__
@@ -75,7 +61,7 @@ class TestEnumeration:
         assert len(set(ops)) == len(ops)
         for o in ops:
             assert c.allowed_parts(9).issuperset(o)
-            assert Overpartition(o).weight == 9
+            assert sum(size for size, _ in o) == 9
 
     def test_forbid_allows_overlined_copy(self):
         c = Constraint(forbid_twos=True)
@@ -91,7 +77,7 @@ class TestEnumeration:
         for n in range(17):
             ops = enumerate_overpartitions(n, constraint)
             expected = enumerate_overpartitions_oracle(n, constraint)
-            assert list(ops) == [o.parts for o in expected], n
+            assert ops == expected, n
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_count_matches_enumeration(self, n):
@@ -129,22 +115,10 @@ class TestEnumeration:
 
 class TestF2:
     def test_single_one(self):
-        pair = f2_map(op((1, False)), 2)
-        assert pair.left == op()
-        assert pair.right == op((1, False))
+        assert _f2_parts(((1, False),)) == ((), ((1, False),))
 
     def test_overlined_three(self):
-        pair = f2_map(op((3, True)), 2)
-        assert pair.left == op((1, True), (1, False))
-        assert pair.right == op((1, True))
-
-    def test_precondition_rejects_plain_two(self):
-        with pytest.raises(OverpartitionError):
-            f2_map(op((2, False), (1, False)), 3)
-
-    def test_precondition_rejects_divisible_part(self):
-        with pytest.raises(OverpartitionError):
-            f2_map(op((3, False)), 3)
+        assert _f2_parts(((3, True),)) == (((1, True), (1, False)), ((1, True),))
 
     @pytest.mark.parametrize("k", KS)
     def test_exhaustive_injective(self, k):
@@ -170,19 +144,16 @@ class TestF2:
 
 class TestF3:
     def test_two_trailing_ones(self):
-        pair = f3_map(op((5, False), (1, False), (1, False)), 2)
-        assert pair.left == op((5, False))
-        assert pair.right == op((2, False))
+        parts = ((5, False), (1, False), (1, False))
+        assert _f3_parts(parts) == (((5, False),), ((2, False),))
 
     def test_s1_r1(self):
-        pair = f3_map(op((1, True), (1, False), (3, False)), 2)
-        assert pair.left == op((3, False))
-        assert pair.right == op((2, True))
+        parts = ((3, False), (1, True), (1, False))
+        assert _f3_parts(parts) == (((3, False),), ((2, True),))
 
     def test_trailing_overlined_two(self):
-        pair = f3_map(op((5, False), (2, True)), 3)
-        assert pair.left == op((5, False))
-        assert pair.right == op((1, False), (1, False))
+        parts = ((5, False), (2, True))
+        assert _f3_parts(parts) == (((5, False),), ((1, False), (1, False)))
 
     @pytest.mark.parametrize("k", KS)
     def test_exhaustive_injective(self, k):
@@ -206,22 +177,23 @@ class TestF3:
 
 class TestTrustedImages:
     # the map bodies build their image parts without sorting or validating;
-    # the validating constructor must leave every such image exactly as it is
+    # every image must come out canonical: positive sizes in non-increasing
+    # order, each size overlined at most once and ahead of its plain copies
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize(
-        "weight_shift,internal,public",
-        [(1, _f2_parts, f2_map), (2, _f3_parts, f3_map)],
-        ids=["f2", "f3"],
+        "weight_shift,body", [(1, _f2_parts), (2, _f3_parts)], ids=["f2", "f3"]
     )
-    def test_images_canonical(self, k, weight_shift, internal, public):
+    def test_images_canonical(self, k, weight_shift, body):
         no2 = Constraint(k_regular=k, forbid_twos=True)
         for a in range(1, 15):
             for o in enumerate_overpartitions(a + weight_shift, no2):
-                images = internal(o)
-                for img in images:
-                    assert Overpartition(img).parts == img, (o, img)
-                pair = public(Overpartition(o), k)
-                assert (pair.left.parts, pair.right.parts) == images
+                for img in body(o):
+                    over = [size for size, is_over in img if is_over]
+                    assert img == tuple(
+                        sorted(img, key=lambda p: (-p[0], not p[1]))
+                    ), (o, img)
+                    assert len(set(over)) == len(over), (o, img)
+                    assert all(size >= 1 for size, _ in img), (o, img)
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
     def test_f1_images_canonical(self, k):
@@ -232,13 +204,14 @@ class TestTrustedImages:
                     try:
                         images = _f1_parts(o, k, b)
                     except UnsupportedCaseError:
-                        with pytest.raises(UnsupportedCaseError):
-                            f1_map(Overpartition(o), k, total - b, b)
                         continue
                     for img in images:
-                        assert Overpartition(img).parts == img, (o, b, img)
-                    pair = f1_map(Overpartition(o), k, total - b, b)
-                    assert (pair.left.parts, pair.right.parts) == images
+                        over = [size for size, is_over in img if is_over]
+                        assert img == tuple(
+                            sorted(img, key=lambda p: (-p[0], not p[1]))
+                        ), (o, b, img)
+                        assert len(set(over)) == len(over), (o, b, img)
+                        assert all(size >= 1 for size, _ in img), (o, b, img)
 
 
 class TestImageChecks:
@@ -263,7 +236,7 @@ class TestImageChecks:
 
         monkeypatch.setitem(combinatorics._LEMMAS, lemma_id, row._replace(split=faulty))
         rep = verify_lemma(lemma_id, k, a, b)
-        return rep, Overpartition(first), Overpartition(second)
+        return rep, _format(first), _format(second)
 
     @pytest.mark.parametrize("lemma_id", LEMMAS)
     def test_faithful_map_is_clean(self, lemma_id):
@@ -344,20 +317,25 @@ class TestCountMemo:
 class TestF1:
     def test_y_zero_plain_split(self):
         # (5,3) with k=7, a=5, b=3: i=2, x=3, y=0
-        pair = f1_map(op((5, False), (3, False)), 7, 5, 3)
-        assert pair.left == op((5, False))
-        assert pair.right == op((3, False))
+        assert _f1_parts(((5, False), (3, False)), 7, 3) == (
+            ((5, False),),
+            ((3, False),),
+        )
 
     def test_case5_overlined_example(self):
         # k=7, y=7, part >= k+2 and overlined -> left tail (4 overlined, 3)
-        lam = op((9, True), (8, False))
+        lam = ((9, True), (8, False))
         # b such that x = 2, y = 7 at i = 1: tail after = 8, x = b - 8
-        pair = f1_map(lam, 7, 7, 10)
-        assert (4, True) in pair.left.parts and (3, False) in pair.left.parts
+        left, right = _f1_parts(lam, 7, 10)
+        assert left == ((4, True), (3, False))
+        assert right == ((8, False), (1, False), (1, False))
 
     def test_small_k_unsupported(self):
-        with pytest.raises(UnsupportedCaseError):
-            f1_map(op((5, False)), 3, 2, 3)
+        # f1's rules are stated for k >= 5 only: below that, lemma 2.1 is
+        # checked by cardinality and no element is mapped
+        assert combinatorics._LEMMAS["2.1"].k_min == 5
+        rep = verify_lemma("2.1", 4, 2, 3)
+        assert rep.mode == "cardinality" and rep.injective is None
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
     def test_exhaustive_injective(self, k):

@@ -17,11 +17,7 @@ from regover.inequalities import (
     QBOUND_THRESHOLDS,
     TURAN3_THRESHOLDS,
     ThresholdReport,
-    check_logconcave,
-    check_subadditivity,
-    check_turan3,
     jia_criterion,
-    logconcave_equality,
     q_bounds,
     q_ratio,
     scan_thresholds,
@@ -38,26 +34,19 @@ KS = list(range(2, 10))
 
 
 class TestSubadditivity:
+    # strict log-subadditivity p(a) p(b) > p(a+b), from the exact counts
     def test_basic_true(self):
-        assert check_subadditivity(3, 5, 4)
+        assert pk(3, 5) * pk(3, 4) > pk(3, 9)
 
     def test_k2_counterexamples(self):
         # genuine failures of strict log-subadditivity at k=2
         for k, a, b in SUBADD_COUNTEREXAMPLES:
-            assert not check_subadditivity(k, a, b)
+            assert not pk(k, a) * pk(k, b) > pk(k, a + b)
 
     def test_k2_holds_from_total_8(self):
         for total in range(8, 30):
             for b in range(1, total // 2 + 1):
-                assert check_subadditivity(2, total - b, b)
-
-    def test_preconditions(self):
-        with pytest.raises(InequalityError):
-            check_subadditivity(1, 3, 2)
-        with pytest.raises(InequalityError):
-            check_subadditivity(2, 1, 2)  # a < b
-        with pytest.raises(InequalityError):
-            check_subadditivity(5, 2, 2)  # a + b < k
+                assert pk(2, total - b) * pk(2, b) > pk(2, total)
 
 
 class TestQRatio:
@@ -73,7 +62,8 @@ class TestQRatio:
 
     def test_logconcave_iff_q_below_one(self):
         for n in (5, 21, 100):
-            assert check_logconcave(2, n) == (q_ratio(2, n) < 1)
+            logconcave = pk(2, n) ** 2 > pk(2, n - 1) * pk(2, n + 1)
+            assert logconcave == (q_ratio(2, n) < 1)
 
 
 class TestLogConcavity:
@@ -102,34 +92,27 @@ class TestLogConcavity:
 
     def test_k3_n6_is_exact_equality(self):
         assert (pk(3, 5), pk(3, 6), pk(3, 7)) == (16, 24, 36)
-        assert logconcave_equality(3, 6)
-        assert not check_logconcave(3, 6)
-        assert check_logconcave(3, 6, strict=False)
+        # the scan lists it as an equality, not as a failure
+        r = scan_thresholds(3, "logconcave", 6)
+        assert 6 in r.equalities and 6 not in r.exceptions_below
 
     @pytest.mark.parametrize("k", KS)
     def test_exhaustive_to_200(self, k):
         for n in range(1, 201):
-            eq = logconcave_equality(k, n)
-            strict = check_logconcave(k, n)
-            weak = check_logconcave(k, n, strict=False)
-            assert eq == (n in self.EQUALITIES[k])
-            assert (not weak) == (n in self.STRICT_FAILURES[k])
-            assert strict == (weak and not eq)
-
-    def test_rejects_n_zero(self):
-        with pytest.raises(InequalityError):
-            check_logconcave(2, 0)
+            square, product = pk(k, n) ** 2, pk(k, n - 1) * pk(k, n + 1)
+            assert (square == product) == (n in self.EQUALITIES[k])
+            assert (square < product) == (n in self.STRICT_FAILURES[k])
 
 
 class TestTuran3:
     @pytest.mark.parametrize("k", KS)
     def test_holds_above_published_threshold(self, k):
         n0 = TURAN3_THRESHOLDS[k]
-        for n in range(n0, n0 + 50):
-            assert check_turan3(k, n)
+        r = scan_thresholds(k, "turan3", n0 + 50)
+        assert all(n < n0 for n in r.exceptions_below), r
 
     def test_k2_fails_below(self):
-        assert not check_turan3(2, 64)
+        assert 64 in scan_thresholds(2, "turan3", 65).exceptions_below
 
     def test_implied_by_jia_criterion(self):
         # whenever the sufficiency criterion fires on (Q(n), Q(n+1)), the
@@ -137,7 +120,8 @@ class TestTuran3:
         for k, n in [(2, 6000), (3, 400), (4, 500), (5, 1200)]:
             u, v = q_ratio(k, n), q_ratio(k, n + 1)
             if jia_criterion(u, v):
-                assert check_turan3(k, n + 1)
+                r = scan_thresholds(k, "turan3", n + 1)
+                assert n + 1 not in r.exceptions_below
 
 
 class TestJiaCriterion:
@@ -440,31 +424,39 @@ class TestScan:
 
 
 def point_by_point_report(k, prop, horizon):
-    """scan_thresholds' report rebuilt from the per-index public checks."""
+    """scan_thresholds' report rebuilt one index at a time from pk()."""
     if prop == "subadd":
         bad = tuple(
             (total - b, b)
             for total in range(k, horizon + 1)
             for b in range(1, total // 2 + 1)
-            if not check_subadditivity(k, total - b, b)
+            if not pk(k, total - b) * pk(k, b) > pk(k, total)
         )
         observed = max((a + b for a, b in bad), default=k - 1) + 1
         return ThresholdReport(k, prop, k, observed, horizon, bad)
     ns = range(1, horizon + 1)
     if prop == "logconcave":
         paper = LOGCONCAVE_THRESHOLDS[k]
-        bad = tuple(n for n in ns if not check_logconcave(k, n, strict=False))
-        equalities = tuple(n for n in ns if logconcave_equality(k, n))
+        bad = tuple(n for n in ns if pk(k, n) ** 2 < pk(k, n - 1) * pk(k, n + 1))
+        equalities = tuple(
+            n for n in ns if pk(k, n) ** 2 == pk(k, n - 1) * pk(k, n + 1)
+        )
     else:
         paper = TURAN3_THRESHOLDS[k]
-        bad = tuple(n for n in ns if not check_turan3(k, n))
+        bad = []
+        for n in ns:
+            a0, a1, a2, a3 = (pk(k, n + j) for j in range(-1, 3))
+            d1, d2 = a1 * a1 - a0 * a2, a2 * a2 - a1 * a3
+            if not 4 * d1 * d2 > (a1 * a2 - a0 * a3) ** 2:
+                bad.append(n)
+        bad = tuple(bad)
         equalities = ()
     observed = bad[-1] + 1 if bad else 1
     return ThresholdReport(k, prop, paper, observed, horizon, bad, equalities)
 
 
 class TestScanMatchesPointChecks:
-    # the scan reads the cached tables directly; the public checks go through
+    # the scan reads the cached tables directly; the reference goes through
     # pk() one index at a time, and both must give the same report
     @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize(

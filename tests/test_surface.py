@@ -1,0 +1,72 @@
+"""The public surface: every public name has a caller, and README's library
+example runs as written."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "regover"
+BENCH = ROOT / "bench"
+
+# Public names with no caller yet, each kept for the ROADMAP item that
+# gives it one.
+WAITING = {
+    "jia_criterion": "ROADMAP item 3 (universal certificates)",
+    "bessel_i1_bracket": "ROADMAP item 3 (universal certificates)",
+    "truncated_expansion": "ROADMAP item 4 (exact single coefficients)",
+}
+
+
+def _references(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every Name, Attribute and imported name in a module."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            refs.extend((alias.name, node.lineno) for alias in node.names)
+    return refs
+
+
+def _uncalled() -> dict[str, str]:
+    """Each top-level public def or class in src/regover that nothing in
+    src/ references outside its own body and bench/ does not name, mapped
+    to where it is defined."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = {path: _references(tree) for path, tree in trees.items()}
+    bench_text = "\n".join(p.read_text() for p in sorted(BENCH.rglob("*.py")))
+    uncalled = {}
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or node.name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            called = any(
+                name == node.name and (other != path or line not in own)
+                for other, other_refs in refs.items()
+                for name, line in other_refs
+            )
+            if not called and not re.search(rf"\b{node.name}\b", bench_text):
+                uncalled[node.name] = f"{path.name}:{node.lineno}"
+    return uncalled
+
+
+def test_every_public_name_has_a_caller():
+    uncalled = _uncalled()
+    # a public name without a caller is deleted, or waits in WAITING
+    assert {n: where for n, where in uncalled.items() if n not in WAITING} == {}
+    # a waiting name that is gone or has found a caller leaves the map
+    assert sorted(set(WAITING) - set(uncalled)) == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
