@@ -8,20 +8,20 @@ given configuration (stable row ordering, no timestamps).
 Exit codes: 0 = all checks verified, 1 = counterexample found,
 2 = usage or configuration error, 3 = precision exhaustion.
 
-``--precision`` is the only precision setting: it defaults to
-:data:`regover.precision.DEFAULT_PRECISION` (192 bits), and a value below
-:data:`regover.precision.MIN_PRECISION` or above
+``verify`` and ``asym`` take ``--precision``, their only precision setting:
+it defaults to :data:`regover.precision.DEFAULT_PRECISION` (192 bits), and
+click refuses a value below :data:`regover.precision.MIN_PRECISION` or above
 :data:`regover.precision.MAX_PRECISION` (768 bits, where certified
-comparisons stop escalating) exits 2.  Nothing is read from the
+comparisons stop escalating) with exit 2.  Nothing is read from the
 environment.
 
 ``count`` and ``lemmas`` split their k range among worker processes: the
 parent runs the first share and one forked child runs each other share (see
-the worker section below).  ``count`` runs in two processes, or in one where
-only one CPU is usable; ``lemmas`` takes the number from ``--jobs``, with
-the same default, and a value below 1 exits 2.  The output is the same at
-every number of processes.  ``verify`` and ``asym`` accept ``--jobs`` but run
-in one process: forking their sweeps gained nothing measurable.
+the worker section below).  Both run in two processes, or in one where only
+one CPU is usable, and the output is the same at every number of processes.
+``verify``, ``asym`` and ``lemmas`` accept ``--jobs`` (a value below 1 exits
+2), but it selects nothing: ``verify`` and ``asym`` run in one process, since
+forking their sweeps gained nothing measurable.
 
 Inputs that would exhaust time or memory fail early with exit 2, before
 any table is built: ``count --n``/``--n-max``, ``asym --n-max`` and
@@ -30,27 +30,38 @@ above :data:`SUBADD_HORIZON_CEILING`), ``lemmas --a-max`` above
 :data:`A_MAX_CEILING` and ``lemmas --total-max`` above
 :data:`TOTAL_MAX_CEILING`.
 
-Imports: this module loads only click and :mod:`regover.qseries` at import
-time.  Each subcommand imports the layers it runs, and the exceptions it
-catches, inside its own body, so a process pays only for what it runs:
-``count`` needs nothing more, ``lemmas`` loads :mod:`regover.combinatorics`,
-``verify`` :mod:`regover.inequalities` and the mpmath-free
-:mod:`regover.precision` (``verify qbounds`` also :mod:`regover.numerics`),
-and ``asym`` :mod:`regover.chern` and :mod:`regover.numerics` (mpmath comes
-in with :mod:`regover.numerics`).  The worker helpers import ``os`` and
-``threading``, which click has loaded already, and :mod:`signal` only to
-kill a child left running; ``lemmas`` imports :mod:`pickle` only when it
-forks.  Keep new imports inside the commands.
+Imports: this module loads only click, :mod:`regover.qseries` and the
+mpmath-free :mod:`regover.precision` (the precision bounds and the numeric
+exceptions) at import time, besides ``os`` and :mod:`contextlib`, which are
+loaded already.  Each subcommand imports the layers it runs, and the
+exceptions it catches, inside its own body, so a process pays only for what
+it runs: ``count`` needs nothing more, ``lemmas`` loads
+:mod:`regover.combinatorics`, ``verify`` :mod:`regover.inequalities`
+(``verify qbounds`` also :mod:`regover.numerics`), and ``asym``
+:mod:`regover.chern` and :mod:`regover.numerics` (mpmath comes in with
+:mod:`regover.numerics`).  The worker helpers import ``threading``, which
+click has loaded already, and :mod:`signal` only to kill a child left
+running; ``lemmas`` imports :mod:`pickle` only when it forks.  Keep new
+imports inside the commands.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
+from contextlib import contextmanager
 
 import click
 
+from .precision import (
+    DEFAULT_PRECISION,
+    MAX_PRECISION,
+    MIN_PRECISION,
+    NumericsError,
+    PrecisionExhausted,
+)
 from .qseries import overpartitions, pk, pk_coefficient, warm_cache
 
 EXIT_COUNTEREXAMPLE = 1
@@ -73,10 +84,10 @@ K_MIN, K_MAX = 2, 9
 #     87 MB, where keeping every row until the end took 62 s and 269 MB.
 #   * ``verify subadd`` checks about horizon²/4 pairs per k: horizon 2000
 #     takes 2.4 s and 3000 takes 4.9 s, both in 23 MB.
-#   * ``lemmas --id 2.3 --a-max 26`` takes 3.4–3.9 s and 43 MB at ``--jobs
-#     1`` (2.4 s at ``--jobs 2``, with 35 MB in the parent and 40 MB in the
-#     child), and each step of a multiplies its time by about 1.3 and its
-#     memory by about 1.15.  Mapping and checking each image takes most of
+#   * ``lemmas --id 2.3 --a-max 26`` takes 3.4–3.9 s and 43 MB in one process
+#     (``taskset -c 0``), and 2.4 s in the default two, with 35 MB in the
+#     parent and 40 MB in the child; each step of a multiplies its time by
+#     about 1.3 and its memory by about 1.15.  Mapping and checking each image takes most of
 #     it, enumerating the domains about a fifth.
 #   * ``lemmas --id 2.1 --total-max 20`` takes 1.1–1.3 s and 22 takes
 #     1.7–1.9 s, both in 21 MB, with start-up; each step of total-max
@@ -111,22 +122,6 @@ def _parse_k_range(text: str) -> list[int]:
             f"k must lie in {K_MIN}..{K_MAX}, got {text!r}"
         )
     return list(range(lo, hi + 1))
-
-
-def _resolve_precision(precision: int | None) -> int:
-    from .precision import DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION
-
-    if precision is None:
-        return DEFAULT_PRECISION
-    if precision < MIN_PRECISION:
-        raise click.UsageError(
-            f"precision must be >= {MIN_PRECISION} bits, got {precision}"
-        )
-    if precision > MAX_PRECISION:
-        raise click.UsageError(
-            f"precision must be <= {MAX_PRECISION} bits, got {precision}"
-        )
-    return precision
 
 
 def _cell(value) -> str:
@@ -183,35 +178,31 @@ def _emit(rows: list[dict], output: str) -> None:
 # leaves by os._exit, so it never returns into the parent's stack nor flushes
 # the parent's buffers.
 
-# Processes a command runs in by default (fewer where fewer CPUs are usable):
-# the widest setting measured, on a 2-core host.
+# Processes a command runs in (fewer where fewer CPUs are usable): the widest
+# setting measured, on a 2-core host.
 _DEFAULT_JOBS = 2
 
 
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
-    import os
-
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         return os.cpu_count() or 1
 
 
-def _worker_count(jobs: int | None, units: int) -> int:
-    """Children to fork for ``units`` work units: min(jobs, CPUs, units) - 1,
-    with jobs defaulting to :data:`_DEFAULT_JOBS`.
+def _worker_count(units: int) -> int:
+    """Children to fork for ``units`` work units:
+    min(:data:`_DEFAULT_JOBS`, CPUs, units) - 1.
 
     Zero where os.fork is missing or another thread runs: a forked child
     would inherit that thread's locks in whatever state they were.
     """
-    import os
     import threading
 
     if not hasattr(os, "fork") or threading.active_count() != 1:
         return 0
-    jobs = _DEFAULT_JOBS if jobs is None else jobs
-    return max(min(jobs, _cpu_count(), units) - 1, 0)
+    return max(min(_DEFAULT_JOBS, _cpu_count(), units) - 1, 0)
 
 
 def _shares(units: list, cost, parts: int) -> list[list]:
@@ -231,117 +222,71 @@ def _shares(units: list, cost, parts: int) -> list[list]:
     return [units[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _serve(share: list, work, out_fd: int, foreign: list[int]):
-    """In a forked child, send the bytes of ``work(share)`` to ``out_fd`` and
-    exit; never returns.  ``work`` does its heavy part before it returns an
-    iterable of bytes; an error raised later only sets the exit status.
-    ``foreign`` are the inherited pipe ends of the parent and other children.
+@contextmanager
+def _forked(shares: list[list], work):
+    """Fork one child per share to send the bytes of ``work(share)``; yield
+    one iterator per child, in share order, over the chunks it sends.
+
+    ``work`` does its heavy part before it returns an iterable of bytes; an
+    error raised later only sets the child's exit status.  Each iterator
+    waits for its child when it ends and raises RuntimeError if the child
+    failed.  On every way out, each child still running is killed and
+    waited for.
     """
-    import os
+    pids, pipes = [], []  # pids of the children not waited for yet
 
-    status = 1
+    def chunks(share, pid, pipe):
+        def fail(why):
+            raise RuntimeError(f"worker for k in {share} failed: {why}")
+
+        if pipe.read(1) != b"+":
+            fail(pipe.read().decode(errors="replace") or "no output")
+        while chunk := pipe.read1(1 << 16):
+            yield chunk
+        _, status = os.waitpid(pid, 0)
+        pids.remove(pid)
+        if code := os.waitstatus_to_exitcode(status):
+            fail(f"exit status {code}")
+
     try:
-        for fd in foreign:
-            os.close(fd)
-        with open(out_fd, "wb") as out:
+        for share in shares:
+            out_r, out_w = os.pipe()
             try:
-                blocks = work(share)
-            except Exception as exc:
-                out.write(b"-" + f"{type(exc).__name__}: {exc}".encode())
-                return  # with status 1
-            out.write(b"+")
-            out.writelines(blocks)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-class _Worker:
-    """One forked child running one share, seen from the parent."""
-
-    def __init__(self, share: list, work, others: list[_Worker]):
-        import os
-
-        self.share = share
-        out_r, out_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(out_r)
+                pid = os.fork()
+            except OSError:
+                os.close(out_r)
+                os.close(out_w)
+                raise
+            if pid == 0:  # the child: never returns
+                status = 1
+                try:
+                    os.close(out_r)
+                    for pipe in pipes:
+                        pipe.close()
+                    with open(out_w, "wb") as out:
+                        try:
+                            blocks = work(share)
+                        except Exception as exc:
+                            out.write(b"-" + f"{type(exc).__name__}: {exc}".encode())
+                        else:
+                            out.write(b"+")
+                            out.writelines(blocks)
+                            status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
             os.close(out_w)
-            raise
-        if pid == 0:
-            _serve(share, work, out_w, [out_r, *(w.out.fileno() for w in others)])
-        self.pid = pid
-        os.close(out_w)
-        self.out = open(out_r, "rb")
-
-    def _fail(self, why: str):
-        raise RuntimeError(f"worker for k in {self.share} failed: {why}")
-
-    def _open(self) -> None:
-        """Read the child's status byte; raise its error if it failed."""
-        head = self.out.read(1)
-        if head != b"+":
-            self._fail(self.out.read().decode(errors="replace") or "no output")
-
-    def _wait(self) -> None:
-        import os
-
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            self._fail(f"exit status {code}")
-
-    def copy(self, write) -> None:
-        """Pass the child's output, ASCII text, to ``write`` in bounded
-        chunks; wait for the child and raise if it failed."""
-        self._open()
-        while chunk := self.out.read1(1 << 16):
-            write(chunk.decode("ascii"))
-        self._wait()
-
-    def read(self) -> bytes:
-        """The child's whole output, once it has exited cleanly."""
-        self._open()
-        data = self.out.read()
-        self._wait()
-        return data
-
-    def close(self) -> None:
-        """Kill the child if it may still run, wait for it, close the pipe."""
-        import os
-
-        if self.pid is not None:
+            pipes.append(open(out_r, "rb"))
+        yield [chunks(*child) for child in zip(shares, pids, pipes)]
+    finally:
+        if pids:
             import signal
 
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        self.out.close()
-
-
-class _Workers(list):
-    """Context manager forking one :class:`_Worker` per share; on every way
-    out, each child is killed if still running and waited for."""
-
-    def __init__(self, shares: list[list], work):
-        super().__init__()
-        self.shares, self.work = shares, work
-
-    def __enter__(self) -> _Workers:
-        try:
-            for share in self.shares:
-                self.append(_Worker(share, self.work, self))
-        except BaseException:
-            self.__exit__()
-            raise
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for worker in self:
-            worker.close()
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _count_blocks(ks: list[int], n_lo: int, n_hi: int, output: str, first: bool, wc: int):
@@ -385,7 +330,7 @@ def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
     """
     from math import sqrt
 
-    forks = _worker_count(None, len(ks))
+    forks = _worker_count(len(ks))
     if forks:
         overpartitions(n_hi)
     wc = 0
@@ -404,11 +349,12 @@ def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
         )
 
     write = sys.stdout.write
-    with _Workers(shares[1:], work) as workers:
+    with _forked(shares[1:], work) as children:
         for block in _count_blocks(shares[0], n_lo, n_hi, output, True, wc):
             write(block)
-        for worker in workers:
-            worker.copy(write)
+        for chunks in children:
+            for chunk in chunks:
+                write(chunk.decode("ascii"))
     if output == "json":
         write("]\n")
 
@@ -461,14 +407,15 @@ _JOBS = click.option(
     "--jobs",
     type=click.IntRange(min=1),
     default=None,
-    help="Processes that lemmas splits the k range among [default: 2, or the "
-    "CPUs this process may run on if fewer]; verify and asym run in one.",
+    help="At least 1, and selects nothing: lemmas runs in 2 processes (fewer "
+    "where fewer CPUs are usable), verify and asym in one.",
 )
 _PRECISION = click.option(
     "--precision",
-    type=int,
-    default=None,
-    help="Working precision in bits, 64 to 768 [default: 192].",
+    type=click.IntRange(MIN_PRECISION, MAX_PRECISION),
+    default=DEFAULT_PRECISION,
+    show_default=True,
+    help="Working precision in bits.",
 )
 
 
@@ -533,7 +480,7 @@ def verify(
     property: str,
     k_spec: str,
     horizon: int | None,
-    precision: int | None,
+    precision: int,
     jobs: int | None,
     output: str,
 ) -> None:
@@ -547,13 +494,11 @@ def verify(
     it.
     """
     from .inequalities import QBOUND_THRESHOLDS, InequalityError, scan_thresholds
-    from .precision import NumericsError, PrecisionExhausted
 
     ks = _parse_k_range(k_spec)
     if horizon is not None:
         ceiling = SUBADD_HORIZON_CEILING if property == "subadd" else N_MAX_CEILING
         _check_ceiling("horizon", horizon, ceiling)
-    precision = _resolve_precision(precision)
     horizons = {
         k: horizon if horizon is not None else _default_horizon(property, k)
         for k in ks
@@ -608,7 +553,7 @@ def asym(
     n_min: int,
     n_max: int,
     step: int,
-    precision: int | None,
+    precision: int,
     jobs: int | None,
     output: str,
 ) -> None:
@@ -618,10 +563,8 @@ def asym(
     remainder, containment, and relative-width columns.
     """
     from .chern import ChernError, estimate
-    from .numerics import NumericsError, PrecisionExhausted
 
     ks = _parse_k_range(k_spec)
-    precision = _resolve_precision(precision)
     if n_min < 1 or n_max < n_min or step < 1:
         raise click.UsageError("need 1 <= n-min <= n-max and step >= 1")
     _check_ceiling("n-max", n_max, N_MAX_CEILING)
@@ -717,15 +660,15 @@ def lemmas(
         return [pickle.dumps(share_reports(share))]
 
     try:
-        forks = _worker_count(jobs, len(ks))
+        forks = _worker_count(len(ks))
         if forks:
             import pickle
         shares = _shares(ks, cost, forks + 1)
-        with _Workers(shares[1:], work) as workers:
+        with _forked(shares[1:], work) as children:
             reports = share_reports(shares[0])
-            for worker in workers:
+            for chunks in children:
                 # bytes from a pipe only this program's own child writes to
-                reports += pickle.loads(worker.read())
+                reports += pickle.loads(b"".join(chunks))
     except OverpartitionError as exc:
         raise click.UsageError(str(exc))
     if any(rep.mode != "map" for rep in reports):

@@ -241,7 +241,7 @@ class TestVerify:
             main, ["verify", "turan3", "--k", "2..9", "--precision", bits]
         )
         assert result.exit_code == 2
-        assert f"precision must be >= 64 bits, got {bits}" in result.stderr
+        assert f"{bits} is not in the range 64<=x<=768" in result.stderr
         assert result.stdout == ""
 
     @pytest.mark.parametrize("output", ["csv", "json", "table"])
@@ -467,11 +467,10 @@ def assert_no_child_left():
 class TestJobs:
     @pytest.fixture
     def three_cpus(self, monkeypatch):
-        # three processes, two of them forked, by default or at --jobs 3,
-        # whatever this host has
+        # three processes, two of them forked, whatever this host has
         monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
         monkeypatch.setattr(cli, "_DEFAULT_JOBS", 3)
-        assert cli._worker_count(None, 8) == cli._worker_count(3, 8) == 2
+        assert cli._worker_count(8) == 2
 
     @pytest.mark.parametrize(
         "args",
@@ -515,10 +514,8 @@ class TestJobs:
         results = []
         with deadline(60):
             for processes in (1, 2, 3):
-                # count runs in the default number; lemmas gets --jobs too
                 monkeypatch.setattr(cli, "_DEFAULT_JOBS", processes)
-                jobs = ["--jobs", str(processes)] if args[0] == "lemmas" else []
-                results.append(runner.invoke(main, args + jobs))
+                results.append(runner.invoke(main, args))
         assert_no_child_left()
         one = results[0]
         assert one.stdout
@@ -529,12 +526,26 @@ class TestJobs:
                 one.exit_code, one.stdout, one.stderr
             )
 
-    def test_lemma_notice_at_every_job_count(self, runner, three_cpus):
+    def test_lemma_notice_at_every_job_count(self, runner, monkeypatch, three_cpus):
         args = ["lemmas", "--id", "2.1", "--k", "2..9", "--total-max", "10"]
-        for jobs in ("1", "3"):
-            result = runner.invoke(main, args + ["--jobs", jobs])
+        for processes in (1, 3):
+            monkeypatch.setattr(cli, "_DEFAULT_JOBS", processes)
+            result = runner.invoke(main, args)
             assert result.exit_code == 1
             assert "cardinality only" in result.stderr
+
+    def test_jobs_selects_nothing(self, runner, monkeypatch):
+        # one process by default, and --jobs 3 does not start a second
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        args = ["lemmas", "--id", "2.2", "--k", "2..9", "--a-max", "6"]
+        result = runner.invoke(main, args + ["--jobs", "3"])
+        # exit 1 is lemma 2.2's known exception at k = 2, a = 2
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.stdout == runner.invoke(main, args).stdout
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize(
@@ -554,31 +565,36 @@ class TestJobs:
     def test_worker_count_is_capped_by_cpus_and_units(self, monkeypatch):
         # only the count is worked out: no process is started here
         monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
-        assert cli._worker_count(None, 8) == 1
+        assert cli._worker_count(8) == 1
         monkeypatch.setattr(cli, "_DEFAULT_JOBS", 4)
-        assert cli._worker_count(None, 8) == 3
-        assert cli._worker_count(10**6, 8) == 3
-        assert cli._worker_count(10**6, 2) == 1
-        assert cli._worker_count(2, 8) == 1
-        assert cli._worker_count(1, 8) == 0
-        assert cli._worker_count(10**6, 1) == 0
+        assert cli._worker_count(8) == 3
+        assert cli._worker_count(2) == 1
+        assert cli._worker_count(1) == 0
+        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 10**6)
+        assert cli._worker_count(8) == 3
+        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 2)
+        assert cli._worker_count(8) == 1
+        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 1)
+        assert cli._worker_count(8) == 0
+        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 4)
         monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
-        assert cli._worker_count(None, 8) == 0
+        assert cli._worker_count(8) == 0
 
     def test_no_fork_beside_another_thread_or_without_fork(self, monkeypatch):
         monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 4)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait, args=(30,))
         thread.start()
         try:
-            assert cli._worker_count(4, 8) == 0
+            assert cli._worker_count(8) == 0
         finally:
             stop.set()
             thread.join(timeout=30)
         assert not thread.is_alive()
-        assert cli._worker_count(4, 8) == 3
+        assert cli._worker_count(8) == 3
         monkeypatch.delattr(os, "fork")
-        assert cli._worker_count(4, 8) == 0
+        assert cli._worker_count(8) == 0
 
     def test_shares_are_contiguous_and_balanced(self):
         ks = list(range(2, 10))
@@ -635,6 +651,55 @@ class TestJobs:
             assert isinstance(result.exception, RuntimeError)
             assert "worker for k in [" in str(result.exception)
             assert "ValueError: planted failure at k=9" in str(result.exception)
+
+    def test_parent_failure_kills_a_busy_child(self, runner, monkeypatch, three_cpus):
+        # the last child would work for a minute; the parent fails at once
+        real = cli.warm_cache
+
+        def slow_or_failing(k, *a):
+            if k == 9:
+                time.sleep(60)
+            if k == 2:
+                raise ValueError("planted failure at k=2")
+            return real(k, *a)
+
+        monkeypatch.setattr(cli, "warm_cache", slow_or_failing)
+        started = time.monotonic()
+        with deadline(30):
+            result = runner.invoke(main, ["count", "--k", "2..9", "--n-max", "60"])
+        assert time.monotonic() - started < 20
+        assert_no_child_left()
+        assert "planted failure at k=2" in str(result.exception)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["count", "--k", "2..9", "--n-max", "60"],
+            ["lemmas", "--id", "2.2", "--k", "2..9", "--a-max", "6"],
+        ],
+        ids=["count", "lemmas"],
+    )
+    def test_child_dying_without_a_status_byte(self, runner, monkeypatch, args):
+        # an interrupt is no Exception: the last child leaves without a word
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+        module, name = (
+            (cli, "warm_cache") if args[0] == "count"
+            else (combinatorics, "verify_lemma")
+        )
+        real = getattr(module, name)
+
+        def interrupted(*a):
+            if 9 in a[:2]:
+                raise KeyboardInterrupt
+            return real(*a)
+
+        monkeypatch.setattr(module, name, interrupted)
+        with deadline(60):
+            result = runner.invoke(main, args)
+        assert_no_child_left()
+        assert isinstance(result.exception, RuntimeError)
+        assert "worker for k in [" in str(result.exception)
+        assert "no output" in str(result.exception)
 
     def test_child_failing_while_it_writes(self, runner, monkeypatch, three_cpus):
         # the last child has built its tables and sent part of its rows
@@ -708,16 +773,16 @@ class TestResourceCeilings:
             (
                 ["asym", "--k", "3", "--n-min", "600", "--n-max", "600",
                  "--precision", "769"],
-                "precision must be <= 768 bits, got 769",
+                "769 is not in the range 64<=x<=768",
             ),
             (
                 ["verify", "qbounds", "--k", "3", "--horizon", "400",
                  "--precision", "769"],
-                "precision must be <= 768 bits, got 769",
+                "769 is not in the range 64<=x<=768",
             ),
             (
                 ["verify", "turan3", "--k", "2..9", "--precision", "769"],
-                "precision must be <= 768 bits, got 769",
+                "769 is not in the range 64<=x<=768",
             ),
         ],
         ids=["asym-n-min-0", "asym-precision", "qbounds-precision", "turan3-precision"],
