@@ -15,10 +15,10 @@ click refuses a value below :data:`regover.precision.MIN_PRECISION` or above
 comparisons stop escalating) with exit 2.  Nothing is read from the
 environment.
 
-``count`` and ``lemmas`` split their k range among worker processes: the
-parent runs the first share and one forked child runs each other share (see
-the worker section below).  Both run in two processes, or in one where only
-one CPU is usable, and the output is the same at every number of processes.
+``count`` and ``lemmas`` cut their k range in two where the cost before the
+cut comes closest to half: the parent runs the first half and one forked
+child the second (see the worker section below).  Both run in one process
+where only one CPU is usable, and the output is the same either way.
 ``verify``, ``asym`` and ``lemmas`` accept ``--jobs`` (a value below 1 exits
 2), but it selects nothing: ``verify`` and ``asym`` run in one process, since
 forking their sweeps gained nothing measurable.
@@ -62,33 +62,32 @@ from .precision import (
     NumericsError,
     PrecisionExhausted,
 )
-from .qseries import overpartitions, pk, pk_coefficient, warm_cache
+from .qseries import pk, pk_coefficient, warm_cache
 
 EXIT_COUNTEREXAMPLE = 1
 EXIT_PRECISION = 3
 
 K_MIN, K_MAX = 2, 9
 
-# Resource ceilings.  Measured on a 2-core host (Python 3.11, pure-Python
-# mpmath), all with ``--k 2..9 --output csv``:
-#   * ``count --n-max 50000`` takes 6.2–6.6 s and 107 MB in one process, of
-#     which the eight tables are about 5.3 s and 81 MB and the rest is one
-#     joined block of output per k.  Re-measured on a slower day of the same
-#     host: 7.4 s and 102 MB in one process (``taskset -c 0``), and 4.2–5.4 s
-#     in the default two, with 70 MB in the parent and 82 MB in the child,
-#     which holds its five k's tables, and one k's text at a time, until the
-#     parent has written its own three.
+# Resource ceilings.  Measured on a 2-core host (Intel Xeon, Python 3.11,
+# pure-Python mpmath), all with ``--k 2..9 --output csv``; ``count`` and
+# ``lemmas`` with start-up, in their default two processes and in one
+# (``taskset -c 0``):
+#   * ``count --n-max 50000`` takes 2.8–4.9 s, with 70 MB in the parent and
+#     82 MB in the child, which holds its five k's tables, and one k's text at
+#     a time, until the parent has written its own three; in one process
+#     4.0–6.5 s and 101 MB.  The eight tables take most of it.
 #   * ``verify logconcave --horizon 50000`` takes 7.4 s and 87 MB, ``verify
 #     turan3`` 10.3 s and 87 MB; ``verify qbounds --horizon 50000`` (about
 #     370 000 certified rows, written as they are decided) takes 23.6 s and
 #     87 MB, where keeping every row until the end took 62 s and 269 MB.
 #   * ``verify subadd`` checks about horizon²/4 pairs per k: horizon 2000
 #     takes 2.4 s and 3000 takes 4.9 s, both in 23 MB.
-#   * ``lemmas --id 2.3 --a-max 26`` takes 3.4–3.9 s and 43 MB in one process
-#     (``taskset -c 0``), and 2.4 s in the default two, with 35 MB in the
-#     parent and 40 MB in the child; each step of a multiplies its time by
-#     about 1.3 and its memory by about 1.15.  Mapping and checking each image takes most of
-#     it, enumerating the domains about a fifth.
+#   * ``lemmas --id 2.3 --a-max 26`` takes 1.1–1.9 s, with 35 MB in the parent
+#     and 40 MB in the child; in one process 1.7–2.0 s and 43 MB.  Each step
+#     of a multiplies its time by about 1.3 and its memory by about 1.15.
+#     Mapping and checking each image takes most of it, enumerating the
+#     domains about a fifth.
 #   * ``lemmas --id 2.1 --total-max 20`` takes 1.1–1.3 s and 22 takes
 #     1.7–1.9 s, both in 21 MB, with start-up; each step of total-max
 #     multiplies the time by about 1.3.
@@ -153,34 +152,44 @@ def _emit(rows: list[dict], output: str) -> None:
         for row in rows:
             writer.writerow([_cell(row[c]) for c in columns])
         return
-    # table: pad every column to its widest cell
     cells = [[_cell(row[c]) for c in columns] for row in rows]
-    widths = [
-        max(len(name), *(line[i] and len(line[i]) or 0 for line in cells))
-        for i, name in enumerate(columns)
-    ]
-    click.echo("  ".join(name.ljust(w) for name, w in zip(columns, widths)))
-    for line in cells:
-        click.echo("  ".join(v.ljust(w) for v, w in zip(line, widths)))
+    widths = {c: max(len(line[i]) for line in cells) for i, c in enumerate(columns)}
+    head, row, _, _ = _formats(widths, "table")
+    sys.stdout.write(head)
+    sys.stdout.writelines(row.format(*line) for line in cells)
+
+
+def _formats(columns: dict[str, int], output: str, quoted=()) -> tuple[str, ...]:
+    """The (head, row, sep, tail) of rows with ``columns`` (name: width of the
+    widest cell) as csv, json or a table: ``row`` is a str.format template
+    taking one cell per column, ``sep`` goes between rows and ``tail`` after
+    the last.  The json values of the ``quoted`` columns are strings, the
+    others verbatim; no cell may need csv quoting or json escaping.
+    """
+    if output == "csv":
+        return ",".join(columns) + "\n", ",".join(["{}"] * len(columns)) + "\n", "", ""
+    if output == "json":
+        pairs = [f'"{c}": ' + ('"{}"' if c in quoted else "{}") for c in columns]
+        return "[", "{{" + ", ".join(pairs) + "}}", ", ", "]\n"
+    widths = {c: max(len(c), w) for c, w in columns.items()}
+    head = "  ".join([c.ljust(w) for c, w in widths.items()]) + "\n"
+    return head, "  ".join([f"{{:<{w}}}" for w in widths.values()]) + "\n", "", ""
 
 
 # -- worker processes --------------------------------------------------------
 #
-# ``count`` and ``lemmas`` split their k range into contiguous shares of about
-# equal cost.  The parent runs the first share and writes as it goes; each
-# other share runs in a child forked with os.fork, which starts from the
+# ``count`` and ``lemmas`` cut their k range in two where the cost before the
+# cut comes closest to half.  The parent runs the first half and writes as it
+# goes; the second runs in a child forked with os.fork, which starts from the
 # parent's tables.  multiprocessing costs about 21 ms to import, and a spawned
-# child would import everything again and rebuild the shared pbar table.
+# child would import everything again and rebuild the shared pbar table.  Two
+# processes is the widest setting measured, on a 2-core host.
 #
-# A child does its share's heavy work before it writes, since it would
-# otherwise wait on the pipe while the parent is busy with its own share.  It
+# The child does its half's heavy work before it writes, since it would
+# otherwise wait on the pipe while the parent is busy with its own half.  It
 # then sends b"+" and streams its output, or sends b"-" and the error, and
 # leaves by os._exit, so it never returns into the parent's stack nor flushes
 # the parent's buffers.
-
-# Processes a command runs in (fewer where fewer CPUs are usable): the widest
-# setting measured, on a 2-core host.
-_DEFAULT_JOBS = 2
 
 
 def _cpu_count() -> int:
@@ -191,51 +200,64 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(units: int) -> int:
-    """Children to fork for ``units`` work units:
-    min(:data:`_DEFAULT_JOBS`, CPUs, units) - 1.
+def _halves(units: list, cost) -> tuple[list, list]:
+    """Cut ``units`` in two, in order, where the ``cost`` of the units before
+    the cut comes closest to half of the total.
 
-    Zero where os.fork is missing or another thread runs: a forked child
-    would inherit that thread's locks in whatever state they were.
+    The second half is empty for one unit, where one CPU is usable, where
+    os.fork is missing or where another thread runs: a forked child would
+    inherit that thread's locks in whatever state they were.
     """
     import threading
 
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return 0
-    return max(min(_DEFAULT_JOBS, _cpu_count(), units) - 1, 0)
-
-
-def _shares(units: list, cost, parts: int) -> list[list]:
-    """Split ``units`` into ``parts`` (at most ``len(units)``) non-empty runs,
-    in order, each cut where the ``cost`` of the units before it comes
-    closest to its share."""
-    if parts == 1:
-        return [units]
+    forkable = threading.active_count() == 1 and hasattr(os, "fork")
+    if not forkable or min(len(units), _cpu_count()) < 2:
+        return units, []
     costs = [cost(u) for u in units]
     total = sum(costs)
-    cuts = [0]
-    for i in range(1, parts):
-        # leave at least one unit for each run still to come
-        options = range(cuts[-1] + 1, len(units) - parts + i + 1)
-        cuts.append(min(options, key=lambda c: abs(sum(costs[:c]) - total * i / parts)))
-    cuts.append(len(units))
-    return [units[a:b] for a, b in zip(cuts, cuts[1:])]
+    cut = min(range(1, len(units)), key=lambda c: abs(sum(costs[:c]) - total / 2))
+    return units[:cut], units[cut:]
 
 
 @contextmanager
-def _forked(shares: list[list], work):
-    """Fork one child per share to send the bytes of ``work(share)``; yield
-    one iterator per child, in share order, over the chunks it sends.
+def _forked(share: list, work):
+    """Fork one child to send the bytes of ``work(share)``, unless ``share``
+    is empty; yield an iterator over the chunks it sends (empty without one).
 
     ``work`` does its heavy part before it returns an iterable of bytes; an
-    error raised later only sets the child's exit status.  Each iterator
-    waits for its child when it ends and raises RuntimeError if the child
-    failed.  On every way out, each child still running is killed and
-    waited for.
+    error raised later only sets the child's exit status.  The iterator waits
+    for the child when it ends and raises RuntimeError if the child failed.
+    On every way out, a child still running is killed and waited for.
     """
-    pids, pipes = [], []  # pids of the children not waited for yet
+    if not share:
+        yield iter(())
+        return
+    out_r, out_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(out_r)
+        os.close(out_w)
+        raise
+    if pid == 0:  # the child: never returns
+        status = 1
+        try:
+            os.close(out_r)
+            with open(out_w, "wb") as out:
+                try:
+                    blocks = work(share)
+                except Exception as exc:
+                    out.write(b"-" + f"{type(exc).__name__}: {exc}".encode())
+                else:
+                    out.write(b"+")
+                    out.writelines(blocks)
+                    status = 0
+        finally:
+            os._exit(status)
+    os.close(out_w)
+    running = [pid]  # emptied once the child is waited for
 
-    def chunks(share, pid, pipe):
+    def chunks(pipe):
         def fail(why):
             raise RuntimeError(f"worker for k in {share} failed: {why}")
 
@@ -243,120 +265,65 @@ def _forked(shares: list[list], work):
             fail(pipe.read().decode(errors="replace") or "no output")
         while chunk := pipe.read1(1 << 16):
             yield chunk
-        _, status = os.waitpid(pid, 0)
-        pids.remove(pid)
+        _, status = os.waitpid(running.pop(), 0)
         if code := os.waitstatus_to_exitcode(status):
             fail(f"exit status {code}")
 
     try:
-        for share in shares:
-            out_r, out_w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(out_r)
-                os.close(out_w)
-                raise
-            if pid == 0:  # the child: never returns
-                status = 1
-                try:
-                    os.close(out_r)
-                    for pipe in pipes:
-                        pipe.close()
-                    with open(out_w, "wb") as out:
-                        try:
-                            blocks = work(share)
-                        except Exception as exc:
-                            out.write(b"-" + f"{type(exc).__name__}: {exc}".encode())
-                        else:
-                            out.write(b"+")
-                            out.writelines(blocks)
-                            status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-            os.close(out_w)
-            pipes.append(open(out_r, "rb"))
-        yield [chunks(*child) for child in zip(shares, pids, pipes)]
+        with open(out_r, "rb") as pipe:
+            yield chunks(pipe)
     finally:
-        if pids:
+        if running:
             import signal
 
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
-def _count_blocks(ks: list[int], n_lo: int, n_hi: int, output: str, first: bool, wc: int):
+def _count_blocks(ks: list[int], n_lo: int, n_hi: int, layout: tuple, first: bool):
     """Yield ``count``'s rows for the k in ``ks`` and n in n_lo..n_hi, one
     joined block of text per k, sliced from the memoized coefficients.
 
-    Together the blocks of every share, and then "]\n" for json, are the
-    bytes :func:`_emit` gives for the rows ``{"k": k, "n": n, "count":
-    str(count)}``.  The ``first`` share also yields the header and opens the
-    json array.  ``wc`` is the table's count column width, over all shares.
+    Together the blocks of both halves, and then the ``layout``'s tail, are
+    the bytes :func:`_emit` gives for the rows ``{"k": k, "n": n, "count":
+    str(count)}``.  The ``first`` half also yields the layout's head.
     """
+    head, row, sep, _ = layout
     columns = {k: warm_cache(k, n_hi)[n_lo : n_hi + 1] for k in ks}
-    if output == "csv":
-        if first:
-            yield "k,n,count\n"
-        for k, counts in columns.items():
-            yield "".join([f"{k},{n},{c}\n" for n, c in enumerate(counts, n_lo)])
-    elif output == "json":
-        sep = "[" if first else ", "
-        for k, counts in columns.items():
-            yield sep + ", ".join([
-                f'{{"k": {k}, "n": {n}, "count": "{c}"}}'
-                for n, c in enumerate(counts, n_lo)
-            ])
-            sep = ", "
-    else:
-        wn = max(len("n"), len(str(n_hi)))
-        if first:
-            yield f"k  {'n':<{wn}}  {'count':<{wc}}\n"
-        for k, counts in columns.items():
-            yield "".join([
-                f"{k}  {n:<{wn}}  {c:<{wc}}\n" for n, c in enumerate(counts, n_lo)
-            ])
+    lead = head if first else sep
+    for k, counts in columns.items():
+        yield lead
+        yield sep.join([row.format(k, n, c) for n, c in enumerate(counts, n_lo)])
+        lead = sep
 
 
 def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
-    """Write ``count``'s rows, with the k range split among worker processes.
+    """Write ``count``'s rows, with the k range cut in two processes.
 
-    The shared pbar table is built before the fork, so every child starts
-    from it; a k's own table costs about sqrt(n_hi / k) shifted copies.
+    The widths build the shared pbar table before the fork, so the child
+    starts from it; a k's own table costs about sqrt(n_hi / k) shifted copies.
     """
     from math import sqrt
 
-    forks = _worker_count(len(ks))
-    if forks:
-        overpartitions(n_hi)
-    wc = 0
-    if output == "table":
-        # k is one digit.  pbar_k(n) never decreases in n (adding a part 1 is
-        # injective), so each column's widest cell is that of its last row.
-        wc = max(len("count"), *(len(str(pk_coefficient(k, n_hi))) for k in ks))
-    shares = _shares(ks, lambda k: sqrt(n_hi / k), forks + 1)
+    # k is one digit.  pbar_k(n) never decreases in n (adding a part 1 is
+    # injective), so each column's widest cell is that of its last row.
+    widths = {"k": 1, "n": len(str(n_hi))}
+    widths["count"] = max(len(str(pk_coefficient(k, n_hi))) for k in ks)
+    layout = _formats(widths, output, {"count"})
+    first, second = _halves(ks, lambda k: sqrt(n_hi / k))
 
     def work(share):
         for k in share:
             warm_cache(k, n_hi)
-        return (
-            block.encode()
-            for block in _count_blocks(share, n_lo, n_hi, output, False, wc)
-        )
+        return (b.encode() for b in _count_blocks(share, n_lo, n_hi, layout, False))
 
     write = sys.stdout.write
-    with _forked(shares[1:], work) as children:
-        for block in _count_blocks(shares[0], n_lo, n_hi, output, True, wc):
+    with _forked(second, work) as chunks:
+        for block in _count_blocks(first, n_lo, n_hi, layout, True):
             write(block)
-        for chunks in children:
-            for chunk in chunks:
-                write(chunk.decode("ascii"))
-    if output == "json":
-        write("]\n")
+        for chunk in chunks:
+            write(chunk.decode("ascii"))
+    write(layout[3])
 
 
 def _write_qbounds(horizons: dict[int, int], output: str, precision: int) -> bool:
@@ -370,17 +337,10 @@ def _write_qbounds(horizons: dict[int, int], output: str, precision: int) -> boo
     """
     from .inequalities import QBOUND_THRESHOLDS, verify_q_containment
 
-    if output == "csv":
-        head, row, joiner, tail = "k,n,property,verdict\n", "{},{},qbounds,{}\n", "", ""
-    elif output == "json":
-        head, joiner, tail = "[", ", ", "]\n"
-        row = '{{"k": {}, "n": {}, "property": "qbounds", "verdict": {}}}'
-    else:
-        # k is one digit, "qbounds" and both verdicts are no wider than their
-        # column names, and n's widest cell is that of the largest horizon
-        wn = max(len("n"), len(str(max(horizons.values()))))
-        head, joiner, tail = f"k  {'n':<{wn}}  property  verdict\n", "", ""
-        row = f"{{}}  {{:<{wn}}}  qbounds   {{:<7}}\n"
+    # k is one digit, and n's widest cell is that of the largest horizon
+    widths = {"k": 1, "n": len(str(max(horizons.values())))}
+    widths.update(property=len("qbounds"), verdict=len("false"))
+    head, row, joiner, tail = _formats(widths, output, {"property"})
     write = sys.stdout.write
     write(head)
     failed = False
@@ -390,7 +350,7 @@ def _write_qbounds(horizons: dict[int, int], output: str, precision: int) -> boo
         for n in range(QBOUND_THRESHOLDS[k], h + 1):
             ok = verify_q_containment(k, n, precision)
             failed = failed or not ok
-            write(sep + row.format(k, n, "true" if ok else "false"))
+            write(sep + row.format(k, n, "qbounds", "true" if ok else "false"))
             sep = joiner
     write(tail)
     return failed
@@ -660,13 +620,12 @@ def lemmas(
         return [pickle.dumps(share_reports(share))]
 
     try:
-        forks = _worker_count(len(ks))
-        if forks:
+        first, second = _halves(ks, cost)
+        if second:
             import pickle
-        shares = _shares(ks, cost, forks + 1)
-        with _forked(shares[1:], work) as children:
-            reports = share_reports(shares[0])
-            for chunks in children:
+        with _forked(second, work) as chunks:
+            reports = share_reports(first)
+            if second:
                 # bytes from a pipe only this program's own child writes to
                 reports += pickle.loads(b"".join(chunks))
     except OverpartitionError as exc:

@@ -283,9 +283,13 @@ def scan_thresholds(k: int, property: str, horizon: int) -> ThresholdReport:
             k, property, k, observed, horizon, tuple(exceptions)
         )
 
-    paper = (
-        LOGCONCAVE_THRESHOLDS[k] if property == "logconcave" else TURAN3_THRESHOLDS[k]
-    )
+    published = LOGCONCAVE_THRESHOLDS if property == "logconcave" else TURAN3_THRESHOLDS
+    if k not in published:
+        raise InequalityError(
+            f"no published {property} threshold for k={k}; they cover k = "
+            f"{min(published)}..{max(published)}"
+        )
+    paper = published[k]
     if horizon < paper:
         raise InequalityError(
             f"horizon {horizon} below published threshold {paper} for k={k}"

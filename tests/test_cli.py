@@ -466,11 +466,10 @@ def assert_no_child_left():
 
 class TestJobs:
     @pytest.fixture
-    def three_cpus(self, monkeypatch):
-        # three processes, two of them forked, whatever this host has
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 3)
-        assert cli._worker_count(8) == 2
+    def two_cpus(self, monkeypatch):
+        # two processes, one of them forked, whatever this host has
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        assert cli._halves(list(range(2, 10)), lambda k: 1)[1]
 
     @pytest.mark.parametrize(
         "args",
@@ -510,11 +509,11 @@ class TestJobs:
             for output in ("csv", "json", "table")
         ] + ["lemmas-2.1", "lemmas-2.3"],
     )
-    def test_same_output_at_every_job_count(self, runner, monkeypatch, three_cpus, args):
+    def test_same_output_at_every_job_count(self, runner, monkeypatch, two_cpus, args):
         results = []
         with deadline(60):
-            for processes in (1, 2, 3):
-                monkeypatch.setattr(cli, "_DEFAULT_JOBS", processes)
+            for cpus in (1, 2):
+                monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
                 results.append(runner.invoke(main, args))
         assert_no_child_left()
         one = results[0]
@@ -526,10 +525,10 @@ class TestJobs:
                 one.exit_code, one.stdout, one.stderr
             )
 
-    def test_lemma_notice_at_every_job_count(self, runner, monkeypatch, three_cpus):
+    def test_lemma_notice_at_every_job_count(self, runner, monkeypatch, two_cpus):
         args = ["lemmas", "--id", "2.1", "--k", "2..9", "--total-max", "10"]
-        for processes in (1, 3):
-            monkeypatch.setattr(cli, "_DEFAULT_JOBS", processes)
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
             result = runner.invoke(main, args)
             assert result.exit_code == 1
             assert "cardinality only" in result.stderr
@@ -539,7 +538,7 @@ class TestJobs:
         def no_fork():
             raise AssertionError("forked")
 
-        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 1)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
         monkeypatch.setattr(os, "fork", no_fork)
         args = ["lemmas", "--id", "2.2", "--k", "2..9", "--a-max", "6"]
         result = runner.invoke(main, args + ["--jobs", "3"])
@@ -562,52 +561,37 @@ class TestJobs:
         assert result.exit_code == 2
         assert "--jobs" in result.stderr and result.stdout == ""
 
-    def test_worker_count_is_capped_by_cpus_and_units(self, monkeypatch):
-        # only the count is worked out: no process is started here
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
-        assert cli._worker_count(8) == 1
-        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 4)
-        assert cli._worker_count(8) == 3
-        assert cli._worker_count(2) == 1
-        assert cli._worker_count(1) == 0
-        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 10**6)
-        assert cli._worker_count(8) == 3
-        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 2)
-        assert cli._worker_count(8) == 1
-        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 1)
-        assert cli._worker_count(8) == 0
-        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 4)
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
-        assert cli._worker_count(8) == 0
+    def test_halves_cut_where_the_cost_before_is_closest_to_half(self, two_cpus):
+        # only the cut is worked out: no process is started here
+        ks = list(range(2, 10))
+        assert cli._halves(ks, lambda k: 1) == ([2, 3, 4, 5], [6, 7, 8, 9])
+        assert cli._halves(ks, lambda k: 7 if k == 2 else 1) == ([2], ks[1:])
+        assert cli._halves(ks, lambda k: 7 if k == 9 else 1) == (ks[:-1], [9])
+        assert cli._halves([2, 3], lambda k: 1) == ([2], [3])
 
-    def test_no_fork_beside_another_thread_or_without_fork(self, monkeypatch):
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 4)
-        monkeypatch.setattr(cli, "_DEFAULT_JOBS", 4)
+    def test_no_second_half_at_one_cpu_or_for_one_unit(self, monkeypatch):
+        ks = list(range(2, 10))
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        assert cli._halves(ks, lambda k: 1) == (ks, [])
+        for cpus in (2, 4):
+            monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+            assert cli._halves([5], lambda k: 1) == ([5], [])
+            assert cli._halves(ks, lambda k: 1) == (ks[:4], ks[4:])
+
+    def test_no_fork_beside_another_thread_or_without_fork(self, two_cpus, monkeypatch):
+        ks = list(range(2, 10))
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait, args=(30,))
         thread.start()
         try:
-            assert cli._worker_count(8) == 0
+            assert cli._halves(ks, lambda k: 1) == (ks, [])
         finally:
             stop.set()
             thread.join(timeout=30)
         assert not thread.is_alive()
-        assert cli._worker_count(8) == 3
+        assert cli._halves(ks, lambda k: 1) == (ks[:4], ks[4:])
         monkeypatch.delattr(os, "fork")
-        assert cli._worker_count(8) == 0
-
-    def test_shares_are_contiguous_and_balanced(self):
-        ks = list(range(2, 10))
-        assert cli._shares(ks, lambda k: 1, 1) == [ks]
-        assert cli._shares(ks, lambda k: 1, 2) == [ks[:4], ks[4:]]
-        assert cli._shares(ks, lambda k: 5 if k == 2 else 1, 2) == [ks[:2], ks[2:]]
-        assert cli._shares(ks, lambda k: 20 if k == 9 else 1, 3) == [
-            ks[:6], ks[6:7], ks[7:]
-        ]
-        for parts in range(1, 9):
-            shares = cli._shares(ks, lambda k: k ** -0.5, parts)
-            assert len(shares) == parts and all(shares)
-            assert [k for share in shares for k in share] == ks
+        assert cli._halves(ks, lambda k: 1) == (ks, [])
 
     @pytest.mark.parametrize(
         "args",
@@ -624,9 +608,9 @@ class TestJobs:
         ids=["child-fails", "parent-fails", "parent-interrupted"],
     )
     def test_failure_waits_for_every_child(
-        self, runner, monkeypatch, three_cpus, args, failing_k, error
+        self, runner, monkeypatch, two_cpus, args, failing_k, error
     ):
-        # k = 9 lies in the last child's share and k = 2 in the parent's
+        # k = 9 lies in the child's half and k = 2 in the parent's
         module, name = (
             (cli, "warm_cache") if args[0] == "count"
             else (combinatorics, "verify_lemma")
@@ -652,8 +636,8 @@ class TestJobs:
             assert "worker for k in [" in str(result.exception)
             assert "ValueError: planted failure at k=9" in str(result.exception)
 
-    def test_parent_failure_kills_a_busy_child(self, runner, monkeypatch, three_cpus):
-        # the last child would work for a minute; the parent fails at once
+    def test_parent_failure_kills_a_busy_child(self, runner, monkeypatch, two_cpus):
+        # the child would work for a minute; the parent fails at once
         real = cli.warm_cache
 
         def slow_or_failing(k, *a):
@@ -680,8 +664,8 @@ class TestJobs:
         ids=["count", "lemmas"],
     )
     def test_child_dying_without_a_status_byte(self, runner, monkeypatch, args):
-        # an interrupt is no Exception: the last child leaves without a word
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+        # an interrupt is no Exception: the child leaves without a word
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
         module, name = (
             (cli, "warm_cache") if args[0] == "count"
             else (combinatorics, "verify_lemma")
@@ -701,8 +685,8 @@ class TestJobs:
         assert "worker for k in [" in str(result.exception)
         assert "no output" in str(result.exception)
 
-    def test_child_failing_while_it_writes(self, runner, monkeypatch, three_cpus):
-        # the last child has built its tables and sent part of its rows
+    def test_child_failing_while_it_writes(self, runner, monkeypatch, two_cpus):
+        # the child has built its tables and sent part of its rows
         real = cli._count_blocks
 
         def failing(ks, *a):

@@ -411,6 +411,17 @@ class TestScan:
         with pytest.raises(InequalityError):
             scan_thresholds(5, "subadd", 4)
 
+    def test_rejects_k_without_published_threshold(self, monkeypatch):
+        def no_table(*_args):
+            raise AssertionError("table built for a refused k")
+
+        monkeypatch.setattr(inequalities, "warm_cache", no_table)
+        for prop in ("logconcave", "turan3"):
+            with pytest.raises(InequalityError, match=r"k=10.*k = 2\.\.9"):
+                scan_thresholds(10, prop, 100)
+        monkeypatch.undo()
+        assert scan_thresholds(10, "subadd", 40).k == 10
+
     def test_rejects_unknown_property(self):
         with pytest.raises(InequalityError):
             scan_thresholds(2, "unimodal", 100)
