@@ -18,17 +18,19 @@ environment.
 ``count`` and ``lemmas`` cut their k range in two where the cost before the
 cut comes closest to half: the parent runs the first half and one forked
 child the second (see the worker section below).  Both run in one process
-where only one CPU is usable, and the output is the same either way.
-``verify``, ``asym`` and ``lemmas`` accept ``--jobs`` (a value below 1 exits
-2), but it selects nothing: ``verify`` and ``asym`` run in one process, since
-forking their sweeps gained nothing measurable.
+where only one CPU is usable or os.fork fails, and the output is the same
+either way.  ``verify``, ``asym`` and ``lemmas`` accept ``--jobs`` (a value
+below 1 exits 2), but no command reads it: ``verify`` and ``asym`` run in
+one process, since forking their sweeps gained nothing measurable.
 
 Inputs that would exhaust time or memory fail early with exit 2, before
-any table is built: ``count --n``/``--n-max``, ``asym --n-max`` and
-``verify --horizon`` above :data:`N_MAX_CEILING` (``verify subadd --horizon``
-above :data:`SUBADD_HORIZON_CEILING`), ``lemmas --a-max`` above
-:data:`A_MAX_CEILING` and ``lemmas --total-max`` above
-:data:`TOTAL_MAX_CEILING`.
+any table is built.  Each bounded integer option is a ``click.IntRange``
+that carries its limit, and ``--help`` shows each range: ``count
+--n``/``--n-max``, ``asym --n-max`` and ``verify --horizon`` stop at
+:data:`N_MAX_CEILING`, ``lemmas --a-max`` at :data:`A_MAX_CEILING` and
+``lemmas --total-max`` at :data:`TOTAL_MAX_CEILING`.  ``verify subadd
+--horizon`` stops at :data:`SUBADD_HORIZON_CEILING`, which the command
+checks itself, since it depends on the property.
 
 Imports: this module loads only click, :mod:`regover.qseries` and the
 mpmath-free :mod:`regover.precision` (the precision bounds and the numeric
@@ -88,20 +90,13 @@ K_MIN, K_MAX = 2, 9
 #     of a multiplies its time by about 1.3 and its memory by about 1.15.
 #     Mapping and checking each image takes most of it, enumerating the
 #     domains about a fifth.
-#   * ``lemmas --id 2.1 --total-max 20`` takes 1.1–1.3 s and 22 takes
-#     1.7–1.9 s, both in 21 MB, with start-up; each step of total-max
-#     multiplies the time by about 1.3.
+#   * ``lemmas --id 2.1 --total-max 22`` takes 0.7–1.0 s, with 20 MB in the
+#     parent and 16 MB in the child; in one process 0.9–1.2 s and 20 MB.
+#     Each step of total-max multiplies the time by about 1.3.
 N_MAX_CEILING = 50_000
 SUBADD_HORIZON_CEILING = 3_000
 A_MAX_CEILING = 26
 TOTAL_MAX_CEILING = 22
-
-
-def _check_ceiling(name: str, value: int, ceiling: int) -> None:
-    if value > ceiling:
-        raise click.UsageError(
-            f"{name} {value} exceeds the resource ceiling {ceiling}"
-        )
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -223,6 +218,8 @@ def _halves(units: list, cost) -> tuple[list, list]:
 def _forked(share: list, work):
     """Fork one child to send the bytes of ``work(share)``, unless ``share``
     is empty; yield an iterator over the chunks it sends (empty without one).
+    Where os.fork fails, the iterator runs ``work(share)`` in this process
+    when it is first read, so after the caller's own half.
 
     ``work`` does its heavy part before it returns an iterable of bytes; an
     error raised later only sets the child's exit status.  The iterator waits
@@ -235,10 +232,14 @@ def _forked(share: list, work):
     out_r, out_w = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except OSError:  # no process to spare (EAGAIN, ENOMEM): run the share here
         os.close(out_r)
         os.close(out_w)
-        raise
+        pid = None
+    if pid is None:
+        # map is lazy: work starts when the caller reads, after its own half
+        yield (chunk for chunks in map(work, [share]) for chunk in chunks)
+        return
     if pid == 0:  # the child: never returns
         status = 1
         try:
@@ -356,6 +357,13 @@ def _write_qbounds(horizons: dict[int, int], output: str, precision: int) -> boo
     return failed
 
 
+_K = click.option(
+    "--k",
+    "ks",
+    required=True,
+    callback=lambda ctx, param, text: _parse_k_range(text),
+    help="k value or range N..M.",
+)
 _OUTPUT = click.option(
     "--output",
     type=click.Choice(["table", "csv", "json"]),
@@ -367,8 +375,9 @@ _JOBS = click.option(
     "--jobs",
     type=click.IntRange(min=1),
     default=None,
-    help="At least 1, and selects nothing: lemmas runs in 2 processes (fewer "
-    "where fewer CPUs are usable), verify and asym in one.",
+    expose_value=False,
+    help="At least 1, and read by no command: lemmas runs in 2 processes (1 "
+    "where only one CPU is usable), verify and asym in 1.",
 )
 _PRECISION = click.option(
     "--precision",
@@ -382,27 +391,23 @@ _PRECISION = click.option(
 @click.group()
 def main() -> None:
     """Exact counts, certified asymptotics, and inequality sweeps for
-    k-regular overpartitions."""
+    k-regular overpartitions.  Each command's --help shows the range of
+    every bounded option."""
 
 
 @main.command()
-@click.option("--k", "k_spec", required=True, help="k value or range N..M.")
-@click.option("--n", "n_single", type=int, default=None, help="Single index n.")
-@click.option("--n-max", type=int, default=None, help="Emit all n in 0..n-max.")
+@_K
+@click.option(
+    "--n", "n_single", type=click.IntRange(0, N_MAX_CEILING), help="Single index n."
+)
+@click.option(
+    "--n-max", type=click.IntRange(0, N_MAX_CEILING), help="Emit all n in 0..n-max."
+)
 @_OUTPUT
-def count(k_spec: str, n_single: int | None, n_max: int | None, output: str) -> None:
+def count(ks: list[int], n_single: int | None, n_max: int | None, output: str) -> None:
     """Print exact counts p_k-bar(n)."""
-    ks = _parse_k_range(k_spec)
     if (n_single is None) == (n_max is None):
         raise click.UsageError("give exactly one of --n or --n-max")
-    if n_single is not None and n_single < 0:
-        raise click.UsageError(f"n must be >= 0, got {n_single}")
-    if n_max is not None and n_max < 0:
-        raise click.UsageError(f"n-max must be >= 0, got {n_max}")
-    if n_single is not None:
-        _check_ceiling("n", n_single, N_MAX_CEILING)
-    else:
-        _check_ceiling("n-max", n_max, N_MAX_CEILING)
     n_lo, n_hi = (0, n_max) if n_single is None else (n_single, n_single)
     if output == "table" and len(ks) == 1 and n_lo == n_hi:
         click.echo(str(pk(ks[0], n_hi)))
@@ -426,23 +431,18 @@ def _default_horizon(prop: str, k: int) -> int:
 @click.argument(
     "property", type=click.Choice(["subadd", "logconcave", "turan3", "qbounds"])
 )
-@click.option("--k", "k_spec", required=True, help="k value or range N..M.")
+@_K
 @click.option(
     "--horizon",
-    type=int,
-    default=None,
-    help="Sweep upper limit (n, or a+b for subadd) [default: per property].",
+    type=click.IntRange(max=N_MAX_CEILING),
+    help="Sweep upper limit (n, or a+b for subadd, at most "
+    f"{SUBADD_HORIZON_CEILING}) [default: per property].",
 )
 @_PRECISION
 @_JOBS
 @_OUTPUT
 def verify(
-    property: str,
-    k_spec: str,
-    horizon: int | None,
-    precision: int,
-    jobs: int | None,
-    output: str,
+    property: str, ks: list[int], horizon: int | None, precision: int, output: str
 ) -> None:
     """Sweep one inequality over a k range; exit 0 iff no counterexample.
 
@@ -455,10 +455,11 @@ def verify(
     """
     from .inequalities import QBOUND_THRESHOLDS, InequalityError, scan_thresholds
 
-    ks = _parse_k_range(k_spec)
-    if horizon is not None:
-        ceiling = SUBADD_HORIZON_CEILING if property == "subadd" else N_MAX_CEILING
-        _check_ceiling("horizon", horizon, ceiling)
+    if property == "subadd" and (horizon or 0) > SUBADD_HORIZON_CEILING:
+        raise click.BadParameter(
+            f"{horizon} is above subadd's ceiling {SUBADD_HORIZON_CEILING}.",
+            param_hint="'--horizon'",
+        )
     horizons = {
         k: horizon if horizon is not None else _default_horizon(property, k)
         for k in ks
@@ -501,21 +502,15 @@ def verify(
 
 
 @main.command()
-@click.option("--k", "k_spec", required=True, help="k value or range N..M.")
-@click.option("--n-min", type=int, required=True)
-@click.option("--n-max", type=int, required=True)
-@click.option("--step", type=int, default=1, show_default=True)
+@_K
+@click.option("--n-min", type=click.IntRange(min=1), required=True)
+@click.option("--n-max", type=click.IntRange(1, N_MAX_CEILING), required=True)
+@click.option("--step", type=click.IntRange(min=1), default=1, show_default=True)
 @_PRECISION
 @_JOBS
 @_OUTPUT
 def asym(
-    k_spec: str,
-    n_min: int,
-    n_max: int,
-    step: int,
-    precision: int,
-    jobs: int | None,
-    output: str,
+    ks: list[int], n_min: int, n_max: int, step: int, precision: int, output: str
 ) -> None:
     """Certified main-term brackets versus exact counts.
 
@@ -524,10 +519,8 @@ def asym(
     """
     from .chern import ChernError, estimate
 
-    ks = _parse_k_range(k_spec)
-    if n_min < 1 or n_max < n_min or step < 1:
-        raise click.UsageError("need 1 <= n-min <= n-max and step >= 1")
-    _check_ceiling("n-max", n_max, N_MAX_CEILING)
+    if n_max < n_min:
+        raise click.UsageError("need n-min <= n-max")
     ns = list(range(n_min, n_max + 1, step))
     rows = []
     try:
@@ -560,17 +553,17 @@ def asym(
     required=True,
     help="Which splitting lemma to verify exhaustively.",
 )
-@click.option("--k", "k_spec", required=True, help="k value or range N..M.")
+@_K
 @click.option(
     "--a-max",
-    type=int,
+    type=click.IntRange(1, A_MAX_CEILING),
     default=20,
     show_default=True,
     help="Largest left weight a (single-sided lemmas).",
 )
 @click.option(
     "--total-max",
-    type=int,
+    type=click.IntRange(2, TOTAL_MAX_CEILING),
     default=18,
     show_default=True,
     help="Largest a+b for the two-sided lemmas.",
@@ -578,12 +571,7 @@ def asym(
 @_JOBS
 @_OUTPUT
 def lemmas(
-    lemma_id: str,
-    k_spec: str,
-    a_max: int,
-    total_max: int,
-    jobs: int | None,
-    output: str,
+    lemma_id: str, ks: list[int], a_max: int, total_max: int, output: str
 ) -> None:
     """Exhaustive splitting-lemma verification over a grid; exit 0 iff
     every grid point holds (and is injective where a map is checked)."""
@@ -594,12 +582,6 @@ def lemmas(
         lemma_grid,
         verify_lemma,
     )
-
-    ks = _parse_k_range(k_spec)
-    if a_max < 1 or total_max < 2:
-        raise click.UsageError("need a-max >= 1 and total-max >= 2")
-    _check_ceiling("a-max", a_max, A_MAX_CEILING)
-    _check_ceiling("total-max", total_max, TOTAL_MAX_CEILING)
 
     def share_reports(share: list[int]) -> list:
         return [

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, output formats, exit codes, determinism."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -510,12 +511,22 @@ class TestJobs:
         ] + ["lemmas-2.1", "lemmas-2.3"],
     )
     def test_same_output_at_every_job_count(self, runner, monkeypatch, two_cpus, args):
+        # one process, two, and two CPUs where os.fork fails: the second half
+        # then runs in the parent, after the first
+        failed_forks = []
+
+        def fork_fails():
+            failed_forks.append(1)
+            raise BlockingIOError(errno.EAGAIN, "planted fork failure")
+
         results = []
         with deadline(60):
-            for cpus in (1, 2):
+            for cpus, fork in ((1, os.fork), (2, os.fork), (2, fork_fails)):
                 monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+                monkeypatch.setattr(os, "fork", fork)
                 results.append(runner.invoke(main, args))
         assert_no_child_left()
+        assert failed_forks == [1]
         one = results[0]
         assert one.stdout
         if args[0] == "lemmas":
@@ -724,7 +735,7 @@ class TestResourceCeilings:
     @pytest.mark.parametrize(
         "args",
         [
-            ["count", "--k", "2..9", "--n-max", str(N_MAX_CEILING + 1), "--output", "csv"],
+            ["count", "--k", "2..9", "--output", "csv", "--n-max", str(N_MAX_CEILING + 1)],
             ["count", "--k", "2", "--n", str(N_MAX_CEILING + 1)],
             ["asym", "--k", "2..9", "--n-min", "1000", "--n-max", str(N_MAX_CEILING + 1)],
             ["lemmas", "--id", "2.3", "--k", "2..9", "--a-max", str(A_MAX_CEILING + 1)],
@@ -740,19 +751,20 @@ class TestResourceCeilings:
         ],
     )
     def test_ceiling_plus_one_exits_two_at_once(self, runner, monkeypatch, args):
+        # the refused value comes last, after the option it is given to
         self.forbid_work(monkeypatch)
         started = time.monotonic()
         result = runner.invoke(main, args)
         assert time.monotonic() - started < 1
         assert result.exit_code == 2
-        assert "exceeds the resource ceiling" in result.output
+        assert f"Invalid value for '{args[-2]}'" in result.output
 
     @pytest.mark.parametrize(
         "args, message",
         [
             (
                 ["asym", "--k", "2..9", "--n-min", "0", "--n-max", "50000"],
-                "need 1 <= n-min <= n-max and step >= 1",
+                "Invalid value for '--n-min'",
             ),
             (
                 ["asym", "--k", "3", "--n-min", "600", "--n-max", "600",
@@ -805,28 +817,42 @@ class TestResourceCeilings:
         assert A_MAX_CEILING >= 20
         assert SUBADD_HORIZON_CEILING >= 200 and TOTAL_MAX_CEILING >= 18
 
-    def test_subadd_at_its_ceiling_is_accepted(self, runner, monkeypatch):
-        # the subadd ceiling applies to subadd only, and at the ceiling itself
-        # the sweep starts
+    def test_every_ceiling_itself_is_accepted(self, runner, monkeypatch):
+        # at each ceiling the work starts (and stops at once, planted); the
+        # subadd ceiling applies to subadd only
+        class Started(Exception):
+            pass
+
         calls = []
 
-        def scan_started(*args):
+        def started(*args):
             calls.append(args)
-            raise inequalities.InequalityError("scan started")
+            raise Started
 
-        monkeypatch.setattr(inequalities, "scan_thresholds", scan_started)
-        for prop, horizon in [
-            ("subadd", SUBADD_HORIZON_CEILING),
-            ("logconcave", SUBADD_HORIZON_CEILING + 1),
+        for module, name in [
+            (cli, "warm_cache"),
+            (cli, "pk"),
+            (cli, "pk_coefficient"),
+            (combinatorics, "verify_lemma"),
+            (inequalities, "scan_thresholds"),
         ]:
-            result = runner.invoke(
-                main, ["verify", prop, "--k", "3", "--horizon", str(horizon)]
-            )
-            assert "scan started" in result.output
-        assert calls == [
-            (3, "subadd", SUBADD_HORIZON_CEILING),
-            (3, "logconcave", SUBADD_HORIZON_CEILING + 1),
-        ]
+            monkeypatch.setattr(module, name, started)
+        n, horizon = N_MAX_CEILING, SUBADD_HORIZON_CEILING
+        for args, first_call in [
+            (["count", "--n", n], (3, n)),
+            (["count", "--n-max", n, "--output", "csv"], (3, n)),
+            (["asym", "--n-min", n, "--n-max", n], (3, n)),
+            (["lemmas", "--id", "2.3", "--a-max", A_MAX_CEILING], ("2.3", 3)),
+            (["lemmas", "--id", "2.1", "--total-max", TOTAL_MAX_CEILING], ("2.1", 3)),
+            (["verify", "subadd", "--horizon", horizon], (3, "subadd", horizon)),
+            (["verify", "logconcave", "--horizon", n], (3, "logconcave", n)),
+            (["verify", "turan3", "--horizon", n], (3, "turan3", n)),
+            (["verify", "qbounds", "--horizon", n], (3, n + 1)),
+        ]:
+            calls.clear()
+            result = runner.invoke(main, [*map(str, args), "--k", "3"])
+            assert isinstance(result.exception, Started), (args, result.output)
+            assert [c[: len(first_call)] for c in calls] == [first_call], args
 
 
 class TestImportFootprint:
