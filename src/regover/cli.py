@@ -32,16 +32,17 @@ that carries its limit, and ``--help`` shows each range: ``count
 --horizon`` stops at :data:`SUBADD_HORIZON_CEILING`, which the command
 checks itself, since it depends on the property.
 
-Imports: this module loads only click, :mod:`regover.qseries` and the
-mpmath-free :mod:`regover.precision` (the precision bounds and the numeric
+Imports: this module loads only click, :mod:`regover.qseries` and
+:mod:`regover.precision` (the precision bounds and the numeric
 exceptions) at import time, besides ``os`` and :mod:`contextlib`, which are
 loaded already.  Each subcommand imports the layers it runs, and the
 exceptions it catches, inside its own body, so a process pays only for what
 it runs: ``count`` needs nothing more, ``lemmas`` loads
 :mod:`regover.combinatorics`, ``verify`` :mod:`regover.inequalities`
 (``verify qbounds`` also :mod:`regover.numerics`), and ``asym``
-:mod:`regover.chern` and :mod:`regover.numerics` (mpmath comes in with
-:mod:`regover.numerics`).  The worker helpers import ``threading``, which
+:mod:`regover.chern` and :mod:`regover.numerics`.  No command loads
+mpmath: the interval kernels in :mod:`regover.numerics` are integer code.
+The worker helpers import ``threading``, which
 click has loaded already, and :mod:`signal` only to kill a child left
 running; ``lemmas`` imports :mod:`pickle` only when it forks.  Keep new
 imports inside the commands.

@@ -2,9 +2,10 @@
 
 This is the outward-rounded interval evaluation that `inequalities.q_bounds`
 used before it moved to fixed-point integers.  Each operation is one
-`libmpi` kernel at the working precision, so its enclosures are proven by a
-different route; the tests require both evaluators to contain a
-high-precision reference and to give the same verdict on every row swept.
+directed-rounding `Interval` kernel at the working precision, so its
+enclosures are proven by a different route; the tests require both
+evaluators to contain a high-precision reference and to give the same
+verdict on every row swept.
 """
 
 from fractions import Fraction

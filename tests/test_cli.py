@@ -892,19 +892,41 @@ class TestImportFootprint:
             ),
             (
                 ["verify", "qbounds", "--k", "3", "--horizon", "370"],
-                ["regover.chern", "regover.combinatorics"],
+                ["mpmath", "regover.chern", "regover.combinatorics"],
+            ),
+            (
+                ["asym", "--k", "3", "--n-min", "600", "--n-max", "700"],
+                ["mpmath", "regover.combinatorics", "regover.inequalities"],
             ),
         ],
         ids=["count", "lemmas", "verify", "verify-logconcave", "verify-subadd",
-             "verify-qbounds"],
+             "verify-qbounds", "asym"],
     )
     def test_subcommand_leaves_other_layers_unimported(self, args, absent):
+        assert self._run(self.PROBE, json.dumps(args), json.dumps(absent)) == []
+
+    def test_library_certificates_leave_mpmath_unimported(self):
+        # the interval kernels are integer code: only Interval.cos and
+        # Interval.sin load mpmath
+        probe = (
+            "import json, sys\n"
+            "from regover.chern import verify_bracket, verify_corollary_bracket\n"
+            "from regover.inequalities import q_bounds\n"
+            "verify_bracket(3, 1500)\n"
+            "verify_corollary_bracket(5, 3000, 384)\n"
+            "q_bounds(4, 500)\n"
+            "sys.stderr.write(json.dumps(sorted({'mpmath'} & set(sys.modules))))\n"
+        )
+        assert self._run(probe) == []
+
+    @staticmethod
+    def _run(probe, *argv):
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
-            [sys.executable, "-c", self.PROBE, json.dumps(args), json.dumps(absent)],
+            [sys.executable, "-c", probe, *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stderr) == []
+        return json.loads(proc.stderr)

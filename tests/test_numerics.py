@@ -6,6 +6,7 @@ defining sum."""
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -23,6 +24,7 @@ from regover.numerics import (
     PrecisionExhausted,
     bessel_i1,
     bessel_i1_bracket,
+    _fraction,
     _i1_sums,
     certify,
     dedekind_sum,
@@ -195,8 +197,32 @@ def _intervals(draw):
     return x * pi(prec) if draw(st.booleans()) else x
 
 
+def _ulp(x, precision):
+    # one unit in the last place of the raw mpf x at ``precision`` bits
+    return Fraction(2) ** (x[2] + x[3] - precision)
+
+
+def _assert_exp_correctly_rounded(x, out, ref):
+    """exp's endpoints enclose the value at 2 precision + 64 bits and lie
+    within one ulp of mpmath's (``ref``).
+
+    mpmath rounds exp from a (precision + 14)-bit approximation, so about one
+    endpoint in 2^14 differs from the correctly rounded one by an ulp, and
+    near a grid point its enclosure can miss the value (see
+    ``test_exp_where_mpmath_misses_the_value``); the integer kernel rounds
+    the value itself."""
+    precision = x.precision
+    with mpmath.workprec(2 * precision + 64):
+        lo, hi = (mpmath.exp(mpmath.mp.make_mpf(v)) for v in x._val)
+    assert mpmath.mp.make_mpf(out._val[0]) <= lo
+    assert hi <= mpmath.mp.make_mpf(out._val[1])
+    for mine, theirs in zip(out._val, ref):
+        assert abs(_fraction(mine) - _fraction(theirs)) <= _ulp(theirs, precision)
+
+
 class TestMatchesIntervalContext:
-    """Every op gives exactly the endpoints of a fresh MPIntervalContext."""
+    """Every op gives exactly the endpoints of a fresh MPIntervalContext, but
+    exp, which is held to its value and to one ulp of mpmath's endpoints."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -245,6 +271,9 @@ class TestMatchesIntervalContext:
         else:
             out, ref = getattr(x, name)(), getattr(ctx, name)(a)
         assert out.precision == x.precision
+        if name == "exp":
+            _assert_exp_correctly_rounded(x, out, ref._mpi_)
+            return
         assert out._val == ref._mpi_
 
     @given(precision=st.integers(64, 384))
@@ -260,6 +289,150 @@ class TestMatchesIntervalContext:
         lo, hi = sorted((Fraction(value), Fraction(value) + Fraction(width)))
         got = Interval.from_endpoints(lo, hi, precision)._val
         assert got == (_ref_operand(ctx, lo)._mpi_[0], _ref_operand(ctx, hi)._mpi_[1])
+
+
+class TestSeededSweep:
+    """A seeded sweep against a fresh MPIntervalContext over the cases random
+    fractions seldom reach: zero and straddling operands, mixed-sign even
+    powers, exponents 2000 bits apart, negative exp arguments, every pi."""
+
+    @staticmethod
+    def _operand(rng, precision):
+        def point():
+            kind = rng.randrange(5)
+            if kind == 0:
+                return Fraction(0)
+            if kind == 1:  # a dyadic with a far exponent
+                return rng.choice([-1, 1]) * Fraction(2) ** rng.randint(-2000, 2000)
+            if kind == 2:
+                return 1 + rng.choice([-1, 1]) * Fraction(1, 2**2000)
+            return Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**20))
+
+        a, b = sorted((point(), point()))
+        shape = rng.randrange(4)
+        if shape == 0:  # a point
+            b = a
+        elif shape == 1:  # straddles 0
+            a, b = -abs(a) - 1, abs(b) + 1
+        x = Interval.from_endpoints(a, b, precision)
+        return x * pi(precision) if rng.random() < 0.3 else x
+
+    def test_ops_match(self):
+        rng = random.Random(20231)
+        binary = [operator.add, operator.sub, operator.mul, operator.truediv]
+        for _ in range(1500):
+            precision = rng.randint(64, 768)
+            ctx = _context(precision)
+            x, y = self._operand(rng, precision), self._operand(rng, precision)
+            a, b = _ref_operand(ctx, x), _ref_operand(ctx, y)
+            op = rng.choice(binary + ["neg", "pow_int", "sqrt", "exp"])
+            if op in binary:
+                if op is operator.truediv and 0 in b:
+                    with pytest.raises(NumericsError, match="containing 0"):
+                        op(x, y)
+                    continue
+                assert op(x, y)._val == op(a, b)._mpi_, (op, x._val, y._val)
+            elif op == "neg":
+                assert (-x)._val == (-a)._mpi_
+            elif op == "pow_int":
+                n = rng.randint(2, 9)
+                assert x.pow_int(n)._val == (a**n)._mpi_, (n, x._val)
+            elif op == "sqrt" and x.lo >= 0:
+                assert x.sqrt()._val == ctx.sqrt(a)._mpi_, x._val
+            elif op == "exp" and -(10**4) < x.lo and x.hi < 10**4:
+                _assert_exp_correctly_rounded(x, x.exp(), ctx.exp(a)._mpi_)
+
+    @pytest.mark.parametrize(
+        "s, t",
+        [
+            ((-3, 5), (-7, 2)),
+            ((Fraction(-1, 3), 2), (-1, Fraction(1, 7))),
+            ((-1, 1), (-1, 1)),
+        ],
+    )
+    def test_both_straddle_zero(self, s, t):
+        for precision in (64, 192, 768):
+            ctx = _context(precision)
+            x = Interval.from_endpoints(*s, precision) * pi(precision)
+            y = Interval.from_endpoints(*t, precision) * pi(precision)
+            a, b = _ref_operand(ctx, x), _ref_operand(ctx, y)
+            assert (x * y)._val == (a * b)._mpi_
+            assert (y * x)._val == (b * a)._mpi_
+            # a divisor that straddles 0 is refused; a one-signed one is not
+            with pytest.raises(NumericsError, match="containing 0"):
+                x / y
+            z = y.pow_int(2) + 1
+            assert (x / z)._val == (a / _ref_operand(ctx, z))._mpi_
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, -2, -4])
+    @pytest.mark.parametrize("lo, hi", [(-3, 2), (-2, 3), (-1, 1), (-5, 0), (0, 5)])
+    def test_even_powers_of_mixed_sign(self, lo, hi, n):
+        for precision in (64, 192, 768):
+            ctx = _context(precision)
+            x = Interval.from_endpoints(lo, hi, precision) * pi(precision)
+            a = _ref_operand(ctx, x)
+            if n < 0 and 0 in a:
+                with pytest.raises(NumericsError, match="containing 0"):
+                    x.pow_int(n)
+                continue
+            ref = 1 / a ** (-n) if n < 0 else a**n
+            assert x.pow_int(n)._val == ref._mpi_
+
+    def test_zero_operands_and_far_exponents(self):
+        tiny = Fraction(1, 2**2000)
+        for precision in (64, 192, 768):
+            ctx = _context(precision)
+            zero = Interval.from_exact(0, precision)
+            one = Interval.from_exact(1, precision)
+            third = Interval.from_exact(Fraction(1, 3), precision)
+            for x, y in [(zero, third), (third, zero), (zero, zero), (one, tiny),
+                         (-third, tiny), (Interval.from_exact(tiny, precision), one)]:
+                a, b = _ref_operand(ctx, x), _ref_operand(ctx, y)
+                for op in (operator.add, operator.sub, operator.mul):
+                    assert op(x, y)._val == op(a, b)._mpi_
+                    assert op(y, x)._val == op(b, a)._mpi_
+            # 1 + 2^-2000 rounds to 1 below and to 1 + 2^(1 - precision) above
+            total = one + tiny
+            assert total.lo == 1 and total.hi == 1 + Fraction(2, 2**precision)
+            assert (zero / third)._val == _ref_operand(ctx, zero)._mpi_
+
+    @pytest.mark.parametrize("value", [10**6, -(10**6), -(10**7)])
+    def test_exp_of_large_arguments(self, value):
+        for precision in (64, 192, 768):
+            x = Interval.from_exact(value, precision)
+            start = time.perf_counter()
+            out = x.exp()
+            assert time.perf_counter() - start < 1
+            ctx = _context(precision)
+            assert out._val == ctx.exp(_ref_operand(ctx, x))._mpi_
+
+    def test_exp_of_negative_arguments(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            precision = rng.randint(64, 768)
+            lo = -Fraction(rng.randint(1, 10**12), rng.randint(1, 10**9))
+            x = Interval.from_endpoints(lo, lo / 3, precision)
+            ctx = _context(precision)
+            ref = ctx.exp(_ref_operand(ctx, x))._mpi_
+            _assert_exp_correctly_rounded(x, x.exp(), ref)
+
+    def test_exp_where_mpmath_misses_the_value(self):
+        # exp(+-2^-300) = 1 +- 2^-300 + 2^-601 +- ...: at 384 bits mpmath's
+        # upper endpoint is 1 +- 2^-300, below the value, since its
+        # (384 + 14)-bit approximation drops the 2^-601.  The kernel rounds
+        # the value itself: 1 +- 2^-300 below, one ulp more above.
+        for sign, ulp in ((1, Fraction(1, 2**383)), (-1, Fraction(1, 2**384))):
+            x = Interval.from_exact(sign * Fraction(1, 2**300), 384)
+            out = x.exp()
+            assert out.lo == 1 + x.lo and out.hi == out.lo + ulp
+            with mpmath.workprec(1000):
+                value = mpmath.exp(mpmath.mpf(sign) / 2**300)
+            lo, hi = (mpmath.mp.make_mpf(v) for v in out._val)
+            assert lo < value < hi
+
+    def test_pi_at_every_precision(self):
+        for precision in range(64, 769):
+            assert pi(precision)._val == (+_context(precision).pi)._mpi_, precision
 
 
 class TestCertify:
