@@ -1,12 +1,13 @@
 """Exact inequality verification and certified Q-ratio bounds.
 
-Log-subadditivity, log-concavity, and the third-order Turan inequality are
-decided by exact big-integer comparisons, and need neither mpmath nor
-:mod:`regover.numerics`.  The two-sided bounds on the ratio
-Q_k(n) = p(n-1) p(n+1) / p(n)^2 are the printed polynomials in t = 1/mu_k(n),
-evaluated in fixed-point Python integers at scale 2^(P + 32): t is taken
-from the endpoints of :func:`regover.numerics.mu`, pi^4 and pi^8 from those
-of :func:`regover.numerics.pi`, and every product and quotient is rounded in
+Log-subadditivity (from the table's own log-concavity), log-concavity, and
+the third-order Turan inequality are decided by exact big-integer
+comparisons, and need neither mpmath nor :mod:`regover.numerics`.  The
+two-sided bounds on the ratio Q_k(n) = p(n-1) p(n+1) / p(n)^2 are the
+printed polynomials in t = 1/mu_k(n), evaluated in fixed-point Python
+integers at scale 2^(P + 32): t is taken from the endpoints of
+:func:`regover.numerics.mu`, pi^4 and pi^8 from those of
+:func:`regover.numerics.pi`, and every product and quotient is rounded in
 the direction that keeps its enclosure, so the resulting rationals are
 proven bounds.  The verdict is :func:`regover.numerics.certify`'s, so only
 the Q path loads :mod:`regover.numerics`.  The sufficiency criterion
@@ -68,11 +69,6 @@ _QB_TABLE: dict[int, tuple[int, int, int, int, Fraction]] = {
 # decides on the cached tables.
 
 
-def _subadditive(pa: int, pb: int, pab: int) -> bool:
-    """Strict log-subadditivity p(a) p(b) > p(a+b)."""
-    return pa * pb > pab
-
-
 def _logconcave_sign(p0: int, p1: int, p2: int) -> int:
     """Sign of p(n)^2 - p(n-1) p(n+1): 1, 0 (equality) or -1 (failure)."""
     lhs = p1 * p1
@@ -83,6 +79,28 @@ def _logconcave_sign(p0: int, p1: int, p2: int) -> int:
 def _turan3(a0: int, a1: int, a2: int, a3: int) -> bool:
     """Strict third-order Turan inequality on four consecutive values."""
     return 4 * (a1 * a1 - a0 * a2) * (a2 * a2 - a1 * a3) > (a1 * a2 - a0 * a3) ** 2
+
+
+def _subadd_exceptions(c, k: int, horizon: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (a, b), a >= b >= 1 and k <= a+b <= horizon, at which strict
+    log-subadditivity c[a] c[b] > c[a+b] fails, in order of (a+b, b).
+
+    ``c`` is positive through index horizon.  From the last n < horizon with
+    c[n]^2 < c[n-1] c[n+1] (start, or 0) on, the ratios c[n+1] / c[n] do not
+    increase, so c[a+b] / c[a] <= c[m+b] / c[m] for a >= m >= start: one check
+    at m = max(start, b, k-b) covers every a >= m, and the pairs below m are
+    checked one by one.  Where it fails, or m + b > horizon, all are.
+    """
+    ns = range(horizon - 1, 0, -1)
+    start = next((n for n in ns if _logconcave_sign(*c[n - 1 : n + 2]) < 0), 0)
+    exceptions = []
+    for b in range(1, horizon // 2 + 1):
+        low, top = max(b, k - b), horizon - b
+        m = max(start, low)
+        if m <= top and c[m] * c[b] > c[m + b]:
+            top = m - 1
+        exceptions += [(a, b) for a in range(low, top + 1) if c[a] * c[b] <= c[a + b]]
+    return tuple(sorted(exceptions, key=lambda pair: (sum(pair), pair[1])))
 
 
 def q_ratio(k: int, n: int) -> Fraction:
@@ -262,26 +280,18 @@ def scan_thresholds(k: int, property: str, horizon: int) -> ThresholdReport:
     All failures below n0 are listed.  For log-concavity the scan uses the
     weak form (>=) for failures and lists the exact-equality points
     separately, since equality genuinely occurs at a few small n.  For
-    "subadd" the scan runs over all pairs a >= b >= 1 with
-    k <= a+b <= horizon; exceptions are (a, b) pairs and n0 is the
-    smallest total beyond which no pair fails.
+    "subadd" the exceptions are the failing pairs (a, b) of
+    :func:`_subadd_exceptions` and n0 is the smallest total beyond which no
+    pair fails.
     """
     if property not in PROPERTIES:
         raise InequalityError(f"property must be one of {PROPERTIES}")
     if property == "subadd":
         if horizon < k:
             raise InequalityError(f"horizon {horizon} below minimal total {k}")
-        c = warm_cache(k, horizon)
-        exceptions = [
-            (total - b, b)
-            for total in range(k, horizon + 1)
-            for b in range(1, total // 2 + 1)
-            if not _subadditive(c[total - b], c[b], c[total])
-        ]
+        exceptions = _subadd_exceptions(warm_cache(k, horizon), k, horizon)
         observed = max((a + b for a, b in exceptions), default=k - 1) + 1
-        return ThresholdReport(
-            k, property, k, observed, horizon, tuple(exceptions)
-        )
+        return ThresholdReport(k, property, k, observed, horizon, exceptions)
 
     published = LOGCONCAVE_THRESHOLDS if property == "logconcave" else TURAN3_THRESHOLDS
     if k not in published:

@@ -21,7 +21,6 @@ from regover import chern, cli, combinatorics, inequalities
 from regover.cli import (
     A_MAX_CEILING,
     N_MAX_CEILING,
-    SUBADD_HORIZON_CEILING,
     TOTAL_MAX_CEILING,
     main,
 )
@@ -743,7 +742,7 @@ class TestResourceCeilings:
             ["verify", "logconcave", "--k", "2..9", "--horizon", str(N_MAX_CEILING + 1)],
             ["verify", "turan3", "--k", "9", "--horizon", str(N_MAX_CEILING + 1)],
             ["verify", "qbounds", "--k", "3", "--horizon", str(N_MAX_CEILING + 1)],
-            ["verify", "subadd", "--k", "2", "--horizon", str(SUBADD_HORIZON_CEILING + 1)],
+            ["verify", "subadd", "--k", "2", "--horizon", str(N_MAX_CEILING + 1)],
         ],
         ids=[
             "count-n-max", "count-n", "asym", "lemmas", "lemmas-total-max",
@@ -808,18 +807,16 @@ class TestResourceCeilings:
         assert rows_from_csv(result.stdout)
 
     def test_ceilings_cover_the_benchmark_and_test_sizes(self):
-        # the benchmark's largest count --n-max (8000) and verify --horizon
-        # (3000 logconcave, 200 subadd), the default qbounds horizons, and the
-        # lemmas defaults --a-max 20 and --total-max 18 (criterion 3's
-        # ranges) must stay accepted
+        # the benchmark's largest count --n-max (8000), above its verify
+        # --horizon (3000 logconcave, 200 subadd), the default qbounds
+        # horizons, and the lemmas defaults --a-max 20 and --total-max 18
+        # (criterion 3's ranges) must stay accepted
         qbounds_defaults = [cli._default_horizon("qbounds", k) for k in range(2, 10)]
         assert N_MAX_CEILING >= max(8000, *qbounds_defaults)
-        assert A_MAX_CEILING >= 20
-        assert SUBADD_HORIZON_CEILING >= 200 and TOTAL_MAX_CEILING >= 18
+        assert A_MAX_CEILING >= 20 and TOTAL_MAX_CEILING >= 18
 
     def test_every_ceiling_itself_is_accepted(self, runner, monkeypatch):
-        # at each ceiling the work starts (and stops at once, planted); the
-        # subadd ceiling applies to subadd only
+        # at each ceiling the work starts (and stops at once, planted)
         class Started(Exception):
             pass
 
@@ -837,14 +834,14 @@ class TestResourceCeilings:
             (inequalities, "scan_thresholds"),
         ]:
             monkeypatch.setattr(module, name, started)
-        n, horizon = N_MAX_CEILING, SUBADD_HORIZON_CEILING
+        n = N_MAX_CEILING
         for args, first_call in [
             (["count", "--n", n], (3, n)),
             (["count", "--n-max", n, "--output", "csv"], (3, n)),
             (["asym", "--n-min", n, "--n-max", n], (3, n)),
             (["lemmas", "--id", "2.3", "--a-max", A_MAX_CEILING], ("2.3", 3)),
             (["lemmas", "--id", "2.1", "--total-max", TOTAL_MAX_CEILING], ("2.1", 3)),
-            (["verify", "subadd", "--horizon", horizon], (3, "subadd", horizon)),
+            (["verify", "subadd", "--horizon", n], (3, "subadd", n)),
             (["verify", "logconcave", "--horizon", n], (3, "logconcave", n)),
             (["verify", "turan3", "--horizon", n], (3, "turan3", n)),
             (["verify", "qbounds", "--horizon", n], (3, n + 1)),

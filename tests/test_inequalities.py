@@ -22,10 +22,11 @@ from regover.inequalities import (
     q_ratio,
     scan_thresholds,
     verify_q_containment,
+    _subadd_exceptions,
 )
 from regover.chern import invariants
 from regover.numerics import MAX_PRECISION, Interval, PrecisionExhausted, certify
-from regover.qseries import build_spec, pk
+from regover.qseries import build_spec, pk, warm_cache
 
 from conftest import SUBADD_COUNTEREXAMPLES
 from q_bounds_oracle import q_bounds_oracle
@@ -434,15 +435,22 @@ class TestScan:
         assert isinstance(d["exceptions_below"], list)
 
 
+def pair_scan(c, k, horizon):
+    """Every pair (a, b), a >= b >= 1 and k <= a+b <= horizon, at which
+    c[a] c[b] > c[a+b] fails, in order of (a+b, b): the O(horizon^2) scan
+    over all pairs that the log-concavity reduction replaces."""
+    return tuple(
+        (total - b, b)
+        for total in range(k, horizon + 1)
+        for b in range(1, total // 2 + 1)
+        if not c[total - b] * c[b] > c[total]
+    )
+
+
 def point_by_point_report(k, prop, horizon):
     """scan_thresholds' report rebuilt one index at a time from pk()."""
     if prop == "subadd":
-        bad = tuple(
-            (total - b, b)
-            for total in range(k, horizon + 1)
-            for b in range(1, total // 2 + 1)
-            if not pk(k, total - b) * pk(k, b) > pk(k, total)
-        )
+        bad = pair_scan([pk(k, n) for n in range(horizon + 1)], k, horizon)
         observed = max((a + b for a, b in bad), default=k - 1) + 1
         return ThresholdReport(k, prop, k, observed, horizon, bad)
     ns = range(1, horizon + 1)
@@ -477,3 +485,73 @@ class TestScanMatchesPointChecks:
         assert scan_thresholds(k, prop, horizon) == point_by_point_report(
             k, prop, horizon
         )
+
+
+@st.composite
+def _positive_tables(draw):
+    """(k, horizon, table): a positive integer table through horizon, drawn
+    log-concave ((n+1)^d, or q^n (n+1) with its equalities) or at random,
+    with a few entries then replaced at random, so that log-concavity and
+    subadditivity fail at random places."""
+    horizon = draw(st.integers(1, 60))
+    k = draw(st.integers(1, horizon))
+    ns = range(horizon + 1)
+    shape = draw(st.sampled_from(["power", "geometric", "random"]))
+    if shape == "power":
+        d = draw(st.integers(1, 6))
+        table = [(n + 1) ** d for n in ns]
+    elif shape == "geometric":
+        q = draw(st.integers(2, 5))
+        table = [q**n * (n + 1) for n in ns]
+    else:
+        size = len(ns)
+        table = draw(st.lists(st.integers(1, 10**6), min_size=size, max_size=size))
+    for n in draw(st.lists(st.integers(0, horizon), max_size=4)):
+        table[n] = draw(st.integers(1, 3 * table[n] + 10))
+    return k, horizon, table
+
+
+class TestSubaddReduction:
+    # _subadd_exceptions decides one pair per b past the table's last
+    # log-concavity failure; the O(horizon^2) pair scan is its oracle
+
+    @pytest.mark.parametrize("k", [*KS, 10])
+    def test_real_tables_match_pair_scan(self, k):
+        c = warm_cache(k, 3000)
+        every = pair_scan(c, k, 3000)
+        for horizon in [*range(k, 41), 60, 200, 1000, 2999, 3000]:
+            want = tuple((a, b) for a, b in every if a + b <= horizon)
+            assert _subadd_exceptions(c, k, horizon) == want, horizon
+        assert scan_thresholds(k, "subadd", 3000).exceptions_below == every
+
+    @settings(max_examples=500, deadline=None)
+    @given(_positive_tables())
+    def test_any_positive_table_matches_pair_scan(self, drawn):
+        k, horizon, table = drawn
+        assert _subadd_exceptions(table, k, horizon) == pair_scan(table, k, horizon)
+
+    def test_pair_below_the_covering_check(self):
+        # log-concave but for n = 6, so start = 6; c[1]^2 = c[2], so (1, 1)
+        # fails, and b = 1's check at m = 6 passes: (1, 1) is found among the
+        # pairs below m
+        c = [1, 2] + [n + 2 for n in range(2, 7)] + [n + 3 for n in range(7, 21)]
+        assert c[6] ** 2 < c[5] * c[7] and c[6] * c[1] > c[7]
+        assert _subadd_exceptions(c, 2, 20) == ((1, 1),) == pair_scan(c, 2, 20)
+
+    def test_failed_check_falls_back_to_every_pair(self):
+        # log-concave, ratios 2, 2, 2, 2, then below 2: b = 1's check at m = 1
+        # fails, and of the pairs past it (2, 1) and (3, 1) fail, (4, 1) holds
+        c = [1, 2, 4, 8, 16, 24, 30, 35, 40, 44, 48, 51]
+        assert all(x * x >= w * y for w, x, y in zip(c, c[1:], c[2:]))
+        assert _subadd_exceptions(c, 2, 11) == (
+            (1, 1), (2, 1), (3, 1), (2, 2)
+        ) == pair_scan(c, 2, 11)
+
+    def test_late_logconcavity_failure_moves_start(self):
+        # c = n + 1 is log-concave and subadditive; c[40] = 80 breaks
+        # log-concavity at n = 39, and (39, 1) fails.  The observed start = 39
+        # finds it, where a start of 0, or of k = 2's published threshold 21
+        # less one, would let b = 1's check at m = 1 or 20 cover every a
+        c = [n + 1 for n in range(40)] + [80]
+        assert c[39] ** 2 < c[38] * c[40] and c[20] * c[1] > c[21]
+        assert _subadd_exceptions(c, 2, 40) == ((39, 1),) == pair_scan(c, 2, 40)

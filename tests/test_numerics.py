@@ -220,9 +220,34 @@ def _assert_exp_correctly_rounded(x, out, ref):
         assert abs(_fraction(mine) - _fraction(theirs)) <= _ulp(theirs, precision)
 
 
+def _assert_pow_int_matches(x, n, out, ref):
+    """``out = x.pow_int(n)``, n >= 0, against mpmath's endpoints ``ref``.
+
+    Where each endpoint's exact power has fewer than 1000 bits (bit count
+    times n), mpmath rounds it once and the endpoints are identical.  Where
+    one has more, mpmath squares and multiplies at precision + 4 bitlen(n)
+    + 4 bits and can be an ulp loose (see
+    ``test_pow_int_where_mpmath_is_an_ulp_loose``), so the endpoints must
+    enclose the exact power, lie within one ulp of it on the outward side,
+    and lie within one ulp of mpmath's."""
+    if max(x._val[0][3], x._val[1][3]) * n < 1000:
+        assert out._val == ref
+        return
+    precision = x.precision
+    lo, hi = x.lo**n, x.hi**n
+    exact = (0 if n % 2 == 0 and x.lo < 0 < x.hi else min(lo, hi), max(lo, hi))
+    out_lo, out_hi = (_fraction(v) for v in out._val)
+    ulp_lo, ulp_hi = (_ulp(v, precision) for v in out._val)
+    assert out_lo <= exact[0] < out_lo + ulp_lo
+    assert out_hi - ulp_hi < exact[1] <= out_hi
+    for mine, theirs in zip(out._val, ref):
+        assert abs(_fraction(mine) - _fraction(theirs)) <= _ulp(theirs, precision)
+
+
 class TestMatchesIntervalContext:
     """Every op gives exactly the endpoints of a fresh MPIntervalContext, but
-    exp, which is held to its value and to one ulp of mpmath's endpoints."""
+    exp, and pow_int where the exact power has 1000 bits or more, which are
+    held to their value and to one ulp of mpmath's endpoints."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -261,7 +286,13 @@ class TestMatchesIntervalContext:
                 with pytest.raises(NumericsError, match="containing 0"):
                     x.pow_int(n)
                 return
-            out, ref = x.pow_int(n), (1 / a ** (-n) if n < 0 else a**n)
+            power = x.pow_int(abs(n))
+            assert power.precision == x.precision
+            _assert_pow_int_matches(x, abs(n), power, (a ** abs(n))._mpi_)
+            if n >= 0:
+                return
+            # x^n is 1 / x^|n|: the division of the kernel's power is mpmath's
+            out, ref = x.pow_int(n), 1 / ctx.make_mpf(power._val)
         elif name == "sqrt":
             if x.lo < 0:
                 with pytest.raises(NumericsError, match="negative lo"):
@@ -336,7 +367,7 @@ class TestSeededSweep:
                 assert (-x)._val == (-a)._mpi_
             elif op == "pow_int":
                 n = rng.randint(2, 9)
-                assert x.pow_int(n)._val == (a**n)._mpi_, (n, x._val)
+                _assert_pow_int_matches(x, n, x.pow_int(n), (a**n)._mpi_)
             elif op == "sqrt" and x.lo >= 0:
                 assert x.sqrt()._val == ctx.sqrt(a)._mpi_, x._val
             elif op == "exp" and -(10**4) < x.lo and x.hi < 10**4:
@@ -429,6 +460,18 @@ class TestSeededSweep:
                 value = mpmath.exp(mpmath.mpf(sign) / 2**300)
             lo, hi = (mpmath.mp.make_mpf(v) for v in out._val)
             assert lo < value < hi
+
+    def test_pow_int_where_mpmath_is_an_ulp_loose(self):
+        # a 179-bit mantissa to the 7th has 1253 bits: mpmath's lower endpoint
+        # of its square and multiply is one ulp below the correctly rounded one
+        x = Interval.from_exact(
+            Fraction(522399359016865659150435942511688273317859378733823675, 2**165),
+            180,
+        )
+        ref = (_ref_operand(_context(180), x) ** 7)._mpi_
+        out = x.pow_int(7)
+        assert _fraction(out._val[0]) - _fraction(ref[0]) == _ulp(ref[0], 180)
+        _assert_pow_int_matches(x, 7, out, ref)
 
     def test_pi_at_every_precision(self):
         for precision in range(64, 769):
