@@ -1,20 +1,19 @@
 """Asymptotic machinery for eta-quotient coefficients.
 
-Computes the four Delta invariants of an eta quotient, the admissibility
-condition of the coefficient asymptotic, the exponential sums A-hat with
-exact rational Dedekind-sum phases, the Bessel main term C_k(n) I1(mu_k),
-the printed closed-form remainder bounds, and the resulting certified
-two-sided brackets for the k-regular overpartition counts.  Every bracket
-verdict, including the ``inside`` column of :func:`estimate`, is decided by
-:func:`regover.numerics.certify`.
+Computes the Delta invariants of an eta quotient, the Bessel main term
+C_k(n) I1(mu_k), the printed closed-form remainder bounds, and the resulting
+certified two-sided brackets for the k-regular overpartition counts.  Every
+bracket verdict, including the ``inside`` column of :func:`estimate`, is
+decided by :func:`regover.numerics.certify`.
 
-Only the Delta1 = 0 branch of the asymptotic is supported; every spec used
-here has Delta1 = 0 and Delta2 = 0, which is asserted rather than assumed.
-The full truncated expansion over the Kloosterman-type sums is implemented
-for validation experiments (the truncation cutoff N is a caller-chosen
-parameter; the source derivation takes N = floor(mu)), while certified
-brackets rely only on the main term's leading coefficient, computed from
-the invariants, and on the printed remainder table.
+The certificates rest on one term of the asymptotic: the main term's
+leading coefficient, computed from the invariants, with the printed
+remainder table and its corollary bracket.  Only the Delta1 = 0 branch of
+the asymptotic is used; every k-regular spec has Delta1 = 0 and Delta2 = 0,
+which the tests check rather than assume.  The full truncated expansion over
+the Kloosterman-type sums A-hat, which checks the invariants against the
+exact counts, is a test oracle (``tests/expansion_oracle.py``), not part of
+the package.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .numerics import (
     Interval,
     bessel_i1,
     certify,
-    dedekind_sum,
     mu,
     pi,
 )
@@ -47,7 +45,7 @@ class ChernInvariants:
     """The Delta invariants of an eta quotient.
 
     delta4_sq holds the exact rational squares of the algebraic Delta4
-    values; delta4() returns an outward-rounded enclosure.
+    values.
     """
 
     delta1: Fraction
@@ -55,14 +53,10 @@ class ChernInvariants:
     delta3: Mapping[int, Fraction]
     delta4_sq: Mapping[int, Fraction]
     L: int
-    l_pos: frozenset
-
-    def delta4(self, l: int, precision: int = DEFAULT_PRECISION) -> Interval:
-        return Interval.from_exact(self.delta4_sq[l], precision).sqrt()
 
 
 def invariants(spec: EtaQuotientSpec) -> ChernInvariants:
-    """Compute Delta1, Delta2, Delta3(l), Delta4(l), L and the positive set."""
+    """Compute Delta1, Delta2, Delta3(l), the squares of Delta4(l), and L."""
     factors = spec.factors
     delta1 = -Fraction(sum(d for _, d in factors), 2)
     delta2 = sum(m * d for m, d in factors)
@@ -78,74 +72,9 @@ def invariants(spec: EtaQuotientSpec) -> ChernInvariants:
             d4sq *= Fraction(m, g) ** (-d)
         delta3[l] = d3
         delta4_sq[l] = d4sq
-    l_pos = frozenset(l for l, v in delta3.items() if v > 0)
     return ChernInvariants(
-        delta1,
-        delta2,
-        MappingProxyType(delta3),
-        MappingProxyType(delta4_sq),
-        L,
-        l_pos,
+        delta1, delta2, MappingProxyType(delta3), MappingProxyType(delta4_sq), L
     )
-
-
-def check_admissibility(spec: EtaQuotientSpec) -> tuple[bool, Optional[int]]:
-    """Check min_r gcd^2(m_r, l)/m_r >= Delta3(l)/24 for all 1 <= l <= L.
-
-    Returns (True, None) on success or (False, witness l) on the first
-    failing l.  Exact rational arithmetic throughout.
-    """
-    inv = invariants(spec)
-    for l in range(1, inv.L + 1):
-        smallest = min(
-            Fraction(math.gcd(m, l) ** 2, m) for m, _ in spec.factors
-        )
-        if smallest < inv.delta3[l] / 24:
-            return False, l
-    return True, None
-
-
-def _a_hat_phases(kk: int, n: int, spec: EtaQuotientSpec) -> list[Fraction]:
-    """Exact phases t_h (in units of pi) of the summands exp(i pi t_h)."""
-    phases = []
-    for h in range(kk):
-        if math.gcd(h, kk) != 1:
-            continue
-        t = Fraction(-2 * n * h, kk)
-        for m, d in spec.factors:
-            g = math.gcd(m, kk)
-            t -= d * dedekind_sum(m * h // g, kk // g)
-        # reduce mod 2 to keep the trig argument small
-        t -= 2 * (t.numerator // (2 * t.denominator))
-        phases.append(t)
-    return phases
-
-
-def a_hat(
-    kk: int, n: int, spec: EtaQuotientSpec, precision: int = DEFAULT_PRECISION
-) -> Interval:
-    """Enclosure of the exponential sum A-hat_kk(n).
-
-    The sum is real for the specs in scope (summands come in conjugate
-    pairs); the imaginary part is evaluated anyway and must enclose 0.
-    Satisfies |A-hat_kk(n)| <= kk.
-    """
-    if kk < 1:
-        raise ChernError(f"kk must be >= 1, got {kk}")
-    if kk == 1:
-        return Interval.from_exact(1, precision)
-    p = pi(precision)
-    real = Interval.from_exact(0, precision)
-    imag = Interval.from_exact(0, precision)
-    for t in _a_hat_phases(kk, n, spec):
-        arg = p * t
-        real = real + arg.cos()
-        imag = imag + arg.sin()
-    if not imag.contains(0):
-        raise ChernError(
-            f"imaginary part of A-hat_{kk}({n}) does not enclose 0: {imag!r}"
-        )
-    return real
 
 
 # Remainder bounds: R'_k(n) = coeff * sqrt(rad) * pi^(3/2) / sqrt(mu_k)
@@ -311,39 +240,3 @@ def verify_corollary_bracket(k: int, n: int, precision: Optional[int] = None) ->
         f"corollary bracket comparison for k={k}, n={n}",
     )
 
-
-def truncated_expansion(
-    spec: EtaQuotientSpec,
-    n: int,
-    N: int,
-    precision: int = DEFAULT_PRECISION,
-) -> Interval:
-    """Experimental: the truncated asymptotic sum without its error term.
-
-    Valid only for Delta1 = 0 specs (checked).  Not a certified bracket --
-    the caller chooses the truncation N; the source derivation uses
-    N = floor(mu).  Useful to validate a_hat and the invariant plumbing
-    against exact coefficients.
-    """
-    inv = invariants(spec)
-    if inv.delta1 != 0:
-        raise ChernError(f"only Delta1 = 0 supported, got {inv.delta1}")
-    ok, witness = check_admissibility(spec)
-    if not ok:
-        raise ChernError(f"spec fails admissibility at l = {witness}")
-    if 24 * n + inv.delta2 <= 0:
-        raise ChernError(f"need 24n + Delta2 > 0, got {24 * n + inv.delta2}")
-    p = pi(precision)
-    total = Interval.from_exact(0, precision)
-    base = Interval.from_exact(24 * n + inv.delta2, precision)
-    for l in sorted(inv.l_pos):
-        d3 = inv.delta3[l]
-        prefactor = 2 * p * inv.delta4(l, precision) * (d3 / base).sqrt()
-        inner = Interval.from_exact(0, precision)
-        for kk in range(1, N):
-            if kk % inv.L != l % inv.L:
-                continue
-            arg = p / (6 * kk) * (base * d3).sqrt()
-            inner = inner + bessel_i1(arg) * a_hat(kk, n, spec, precision) / kk
-        total = total + prefactor * inner
-    return total

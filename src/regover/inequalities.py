@@ -10,11 +10,9 @@ integers at scale 2^(P + 32): t is taken from the endpoints of
 :func:`regover.numerics.pi`, and every product and quotient is rounded in
 the direction that keeps its enclosure, so the resulting rationals are
 proven bounds.  The verdict is :func:`regover.numerics.certify`'s, so only
-the Q path loads :mod:`regover.numerics`.  The sufficiency criterion
-connecting consecutive Q values to the Turan inequality is decided with
-exact rational arithmetic (the square-root comparison is resolved by
-squaring).  A threshold scanner reports observed minimal thresholds next
-to the published ones rather than assuming the published values are tight.
+the Q path loads :mod:`regover.numerics`.  A threshold scanner reports
+observed minimal thresholds next to the published ones rather than assuming
+the published values are tight.
 """
 
 from __future__ import annotations
@@ -242,20 +240,6 @@ def verify_q_containment(k: int, n: int, precision: Optional[int] = None) -> boo
         precision,
         f"Q containment for k={k}, n={n}",
     )
-
-
-def jia_criterion(u: Fraction, v: Fraction) -> bool:
-    """Sufficiency criterion: 15/16 <= u < v < 1 and u + sqrt((1-u)^3) > v.
-
-    Decided exactly: with v > u both sides of the square-root comparison
-    are positive, so it reduces to (v - u)^2 < (1 - u)^3.
-    """
-    u, v = Fraction(u), Fraction(v)
-    if not (0 < u < 1 and 0 < v < 1):
-        return False
-    if not (Fraction(15, 16) <= u < v):
-        return False
-    return (v - u) ** 2 < (1 - u) ** 3
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Rigorous numerics: outward-rounded interval arithmetic, the one
-certification loop, Bessel I1 enclosures, the printed I1 bound polynomials,
-Dedekind sums, and the Bessel argument mu_k(n) = pi sqrt((k-1) n / k).
+certification loop, Bessel I1 enclosures, Dedekind sums, and the Bessel
+argument mu_k(n) = pi sqrt((k-1) n / k).
 
 Every transcendental quantity in the asymptotic machinery starts as an
 :class:`Interval`, an immutable pair of endpoints in mpmath's raw mpf format
@@ -8,9 +8,9 @@ Every transcendental quantity in the asymptotic machinery starts as an
 kernel in this module that rounds the exact result once, down for lo and up
 for hi, at the result precision, so every enclosure is sound by construction
 and, but for pow_int past _POW_EXACT_BITS, correctly rounded.  Only cos and
-sin import mpmath, for its kernels.  Precision is a per-value property,
-never ambient state, and binary operations run at the larger of the two
-operand precisions.
+sin import mpmath, for its kernels, and nothing in the package calls them.
+Precision is a per-value property, never ambient state, and binary
+operations run at the larger of the two operand precisions.
 
 :func:`bessel_i1` is the one hot kernel that does not run through
 :class:`Interval` term by term: it sums the positive ascending series in
@@ -31,7 +31,8 @@ Every function that builds an enclosure takes its precision as an argument
 defaulting to :data:`DEFAULT_PRECISION`, so a result depends only on its
 arguments, never on the process environment.
 
-Dedekind sums are exact rationals, computed by reciprocity in O(log j)
+Dedekind sums, the phases of the exponential sums A-hat in the tests'
+expansion oracle, are exact rationals, computed by reciprocity in O(log j)
 steps, and never touch intervals.  The precision constants and the two
 exceptions live in the mpmath-free :mod:`regover.precision` and are
 re-exported here.
@@ -404,8 +405,8 @@ class Interval:
             raise NumericsError(f"exp argument out of guarded range: {self!r}")
         return self._unary(lambda s, p: (_exp1(s[0], p, False), _exp1(s[1], p, True)))
 
-    # cos and sin, which only chern.a_hat calls, keep mpmath's kernels: the
-    # import stays inside them, so no other op loads mpmath
+    # cos and sin, which nothing in the package calls, keep mpmath's kernels:
+    # the import stays inside them, so no other op loads mpmath
 
     def cos(self) -> "Interval":
         from mpmath.libmp import libmpi
@@ -587,41 +588,6 @@ def bessel_i1(s: Interval) -> Interval:
         precision,
         (_round(lower, -P, precision, False), _round(upper, -P, precision, True)),
     )
-
-
-# E_I(s) = 1 - 3/(8s) - 15/(128 s^2) - 105/(1024 s^3)
-#            - 4725/(32768 s^4) - 72765/(262144 s^5)
-_EI_COEFFS = (
-    Fraction(3, 8),
-    Fraction(15, 128),
-    Fraction(105, 1024),
-    Fraction(4725, 32768),
-    Fraction(72765, 262144),
-)
-
-
-def e_i(s: Interval) -> Interval:
-    """The printed six-term asymptotic correction polynomial in 1/s."""
-    if s.lo <= 0:
-        raise NumericsError(f"e_i needs s > 0, got {s!r}")
-    inv = 1 / s
-    total = Interval.from_exact(1, s.precision)
-    power = Interval.from_exact(1, s.precision)
-    for c in _EI_COEFFS:
-        power = power * inv
-        total = total - power * c
-    return total
-
-
-def bessel_i1_bracket(s: Interval) -> tuple[Interval, Interval]:
-    """Two-sided bound e^s/sqrt(2 pi s) * (E_I(s) -/+ 31/s^6), valid s >= 26."""
-    if s.lo < 26:
-        raise NumericsError(f"two-sided I1 bound needs s >= 26, got {s!r}")
-    p = pi(s.precision)
-    front = s.exp() / (2 * p * s).sqrt()
-    wiggle = 31 / s.pow_int(6)
-    core = e_i(s)
-    return front * (core - wiggle), front * (core + wiggle)
 
 
 # -- Dedekind sums ----------------------------------------------------

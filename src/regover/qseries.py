@@ -112,11 +112,11 @@ def pk_coefficient(k: int, n: int) -> int:
     return table[n] + 2 * (sum(shifted[1::2]) - sum(shifted[::2]))
 
 
-# Memoized coefficient tuples, one per k, grown geometrically.  Callers run
-# in one thread, so neither this cache nor the shared pbar table takes a
-# lock; completed tuples are immutable.  A worker process forked by the CLI
-# starts from the parent's tables and grows private copies of both, which
-# the parent never sees.
+# Memoized coefficient tuples, one per k, grown geometrically by pk and to
+# the asked order by warm_cache.  Callers run in one thread, so neither this
+# cache nor the shared pbar table takes a lock; completed tuples are
+# immutable.  A worker process forked by the CLI starts from the parent's
+# tables and grows private copies of both, which the parent never sees.
 _CACHE: dict[int, tuple[int, ...]] = {}
 
 
@@ -128,6 +128,7 @@ def pk(k: int, n: int) -> int:
         raise SeriesError(f"n must be >= 0, got {n}")
     cached = _CACHE.get(k)
     if cached is None or len(cached) - 1 < n:
+        # reads one index at a time grow the table geometrically
         target = max(n, 2 * (len(cached) - 1 if cached else 0), 256)
         cached = pk_series(k, target)
         _CACHE[k] = cached
@@ -135,9 +136,14 @@ def pk(k: int, n: int) -> int:
 
 
 def warm_cache(k: int, order: int) -> tuple[int, ...]:
-    """Grow the memoized series for ``k`` to at least ``order`` in one pass.
+    """Grow the memoized series for ``k`` to ``order`` in one pass.
 
-    Returns the memoized coefficient tuple, which may run past ``order``.
+    A shorter table is rebuilt to exactly ``order``, with the shared pbar
+    table, since the caller says what it will read.  Returns the memoized
+    coefficient tuple, which may run past ``order``.
     """
-    pk(k, order)
+    cached = _CACHE.get(k)
+    if cached is None or len(cached) - 1 < order:
+        _CACHE[k] = pk_series(k, order)
+    pk(k, order)  # checks k and order as every read does
     return _CACHE[k]

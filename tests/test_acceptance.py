@@ -34,16 +34,11 @@ from regover.inequalities import (
     scan_thresholds,
     verify_q_containment,
 )
-from regover.numerics import (
-    Interval,
-    bessel_i1,
-    bessel_i1_bracket,
-    dedekind_sum,
-    mu,
-)
+from regover.numerics import Interval, bessel_i1, dedekind_sum, mu
 from regover.qseries import pk, warm_cache
 
 from conftest import LEMMA_EXCEPTIONS, SUBADD_COUNTEREXAMPLES, record_acceptance
+from expansion_oracle import bessel_i1_bracket
 
 KS = list(range(2, 10))
 

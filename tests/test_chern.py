@@ -1,4 +1,5 @@
-"""Invariants, exponential sums, and certified asymptotic brackets."""
+"""Invariants, certified asymptotic brackets, and the expansion oracle's
+exponential sums and truncated sum."""
 
 import cmath
 import math
@@ -11,19 +12,24 @@ from regover.chern import (
     ChernError,
     N_K,
     NDOT_K,
-    a_hat,
-    check_admissibility,
     estimate,
     invariants,
     main_term,
     pk_bounds,
     remainder_bound,
-    truncated_expansion,
     verify_bracket,
     verify_corollary_bracket,
 )
 from regover.numerics import Interval, PrecisionExhausted, dedekind_sum, mu, pi
 from regover.qseries import EtaQuotientSpec, build_spec, pk
+
+from expansion_oracle import (
+    a_hat,
+    check_admissibility,
+    delta4,
+    positive_classes,
+    truncated_expansion,
+)
 
 KS = list(range(2, 10))
 
@@ -46,7 +52,7 @@ class TestInvariants:
             Fraction(1, 2),
             1,
         ]
-        assert sorted(inv.l_pos) == [1, 3]
+        assert positive_classes(inv) == [1, 3]
 
     def test_k3_delta3_one(self):
         assert invariants(build_spec(3)).delta3[1] == 1
@@ -64,7 +70,7 @@ class TestInvariants:
         inv = invariants(build_spec(k))
         for l in range(1, inv.L + 1):
             assert inv.delta4_sq[l] > 0
-            assert inv.delta4(l).lo > 0
+            assert delta4(inv, l).lo > 0
 
 
 class TestAdmissibility:
@@ -130,9 +136,10 @@ class TestMainTerm:
         # Delta3 and Delta4 are constant across the positive classes, which
         # is what lets one constant be pulled out of the expansion
         inv = invariants(build_spec(k))
-        assert len(inv.l_pos) == self.COUNTS[k]
-        assert len({inv.delta3[l] for l in inv.l_pos}) == 1
-        assert len({inv.delta4_sq[l] for l in inv.l_pos}) == 1
+        l_pos = positive_classes(inv)
+        assert len(l_pos) == self.COUNTS[k]
+        assert len({inv.delta3[l] for l in l_pos}) == 1
+        assert len({inv.delta4_sq[l] for l in l_pos}) == 1
 
     @pytest.mark.parametrize("k", KS)
     def test_printed_constant_is_class_count_multiple(self, k):
@@ -273,11 +280,17 @@ class TestEstimate:
 
 class TestTruncatedExpansion:
     def test_reproduces_exact_count(self):
-        n = 100
-        N = int(float(mu(2, n).value.lo))
-        out = truncated_expansion(build_spec(2), n, N)
-        exact = pk(2, n)
-        assert abs(float(out.lo) - exact) < 0.5
+        # truncated at N = floor(mu), the sum's enclosure lies within 1/2 of
+        # the exact count at every k, which checks every k's invariants
+        half = Fraction(1, 2)
+        for k in KS:
+            for n in (100, 200):
+                m = mu(k, n).value
+                N = math.floor(m.lo)
+                assert math.floor(m.hi) == N
+                out = truncated_expansion(build_spec(k), n, N)
+                exact = pk(k, n)
+                assert exact - half < out.lo and out.hi < exact + half, (k, n)
 
     def test_rejects_nonzero_delta1(self):
         with pytest.raises(ChernError):

@@ -1,4 +1,5 @@
-"""Exact inequalities, Q-ratio bounds, and threshold scanning."""
+"""Exact inequalities, Q-ratio bounds, threshold scanning, and the
+sufficiency criterion for third-order Turan on consecutive Q values."""
 
 import json
 import math
@@ -17,7 +18,6 @@ from regover.inequalities import (
     QBOUND_THRESHOLDS,
     TURAN3_THRESHOLDS,
     ThresholdReport,
-    jia_criterion,
     q_bounds,
     q_ratio,
     scan_thresholds,
@@ -32,6 +32,21 @@ from conftest import SUBADD_COUNTEREXAMPLES
 from q_bounds_oracle import q_bounds_oracle
 
 KS = list(range(2, 10))
+
+
+def jia_criterion(u: Fraction, v: Fraction) -> bool:
+    """Sufficiency criterion for third-order Turan (Chen, Jia and Wang):
+    15/16 <= u < v < 1 and u + sqrt((1-u)^3) > v.
+
+    Decided exactly: with v > u both sides of the square-root comparison
+    are positive, so it reduces to (v - u)^2 < (1 - u)^3.
+    """
+    u, v = Fraction(u), Fraction(v)
+    if not (0 < u < 1 and 0 < v < 1):
+        return False
+    if not (Fraction(15, 16) <= u < v):
+        return False
+    return (v - u) ** 2 < (1 - u) ** 3
 
 
 class TestSubadditivity:

@@ -23,16 +23,16 @@ from regover.numerics import (
     NumericsError,
     PrecisionExhausted,
     bessel_i1,
-    bessel_i1_bracket,
     _fraction,
     _i1_sums,
     certify,
     dedekind_sum,
-    e_i,
     mu,
     pi,
 )
 from regover.qseries import build_spec
+
+from expansion_oracle import bessel_i1_bracket, e_i
 
 
 def iv(x, prec=192):

@@ -18,6 +18,7 @@ from regover.qseries import (
     build_spec,
     pk,
     pk_series,
+    warm_cache,
 )
 
 from qseries_oracle import (
@@ -249,6 +250,40 @@ class TestPkAccessor:
             pk(1, 5)
         with pytest.raises(SeriesError):
             pk(2, -1)
+
+
+class TestWarmCache:
+    def test_scans_build_to_the_asked_order(self, monkeypatch):
+        # the log-concavity scan reads H + 2 coefficients after the subadd
+        # scan built H: the table grows to H + 2, not to pk's 2H
+        from regover.inequalities import scan_thresholds
+
+        monkeypatch.setattr(qseries, "_OVERPARTITIONS", [1])
+        monkeypatch.setattr(qseries, "_CACHE", {})
+        H = 3000
+        scan_thresholds(2, "subadd", H)
+        scan_thresholds(2, "logconcave", H)
+        assert len(qseries._CACHE[2]) - 1 == H + 2
+        assert len(qseries._OVERPARTITIONS) - 1 == H + 2
+        assert qseries._CACHE[2] == pk_series(2, H + 2)
+
+    def test_longer_table_is_kept(self, monkeypatch):
+        monkeypatch.setattr(qseries, "_CACHE", {})
+        pk(5, 10)  # one read builds pk's minimum of 256
+        assert len(warm_cache(5, 40)) - 1 == 256
+        assert len(warm_cache(5, 300)) - 1 == 300
+        assert pk(5, 301) == pk_series(5, 600)[301]
+        assert len(qseries._CACHE[5]) - 1 == 600
+
+    def test_rejects_bad_args(self, monkeypatch):
+        monkeypatch.setattr(qseries, "_CACHE", {})
+        with pytest.raises(SeriesError):
+            warm_cache(1, 5)
+        with pytest.raises(SeriesError):
+            warm_cache(2, -1)
+        warm_cache(2, 5)
+        with pytest.raises(SeriesError):
+            warm_cache(2, -1)
 
 
 class TestPkCoefficient:

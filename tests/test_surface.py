@@ -9,14 +9,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "regover"
 BENCH = ROOT / "bench"
 
-# Public names with no caller yet, each kept for the ROADMAP item that
-# gives it one.
-WAITING = {
-    "jia_criterion": "ROADMAP item 3 (universal certificates)",
-    "bessel_i1_bracket": "ROADMAP item 3 (universal certificates)",
-    "truncated_expansion": "ROADMAP item 4 (exact single coefficients)",
-}
-
 
 def _references(tree: ast.Module) -> list[tuple[str, int]]:
     """(name, line) of every Name, Attribute and imported name in a module."""
@@ -57,11 +49,8 @@ def _uncalled() -> dict[str, str]:
 
 
 def test_every_public_name_has_a_caller():
-    uncalled = _uncalled()
-    # a public name without a caller is deleted, or waits in WAITING
-    assert {n: where for n, where in uncalled.items() if n not in WAITING} == {}
-    # a waiting name that is gone or has found a caller leaves the map
-    assert sorted(set(WAITING) - set(uncalled)) == []
+    # a public name without a caller is deleted, or moves to the tests
+    assert _uncalled() == {}
 
 
 def test_readme_library_example_runs():
