@@ -63,27 +63,27 @@ from .precision import (
     NumericsError,
     PrecisionExhausted,
 )
-from .qseries import pk, pk_coefficient, warm_cache
+from .qseries import pk, pk_series, warm_cache
 
 EXIT_COUNTEREXAMPLE = 1
 EXIT_PRECISION = 3
 
 K_MIN, K_MAX = 2, 9
 
-# Resource ceilings.  Measured on a 2-core host (Intel Xeon, Python 3.11,
-# pure-Python mpmath), all with ``--k 2..9 --output csv``; ``count`` and
-# ``lemmas`` with start-up, in their default two processes and in one
-# (``taskset -c 0``):
-#   * ``count --n-max 50000`` takes 2.8–4.9 s, with 70 MB in the parent and
-#     82 MB in the child, which holds its five k's tables, and one k's text at
-#     a time, until the parent has written its own three; in one process
-#     4.0–6.5 s and 101 MB.  The eight tables take most of it.
-#   * ``verify logconcave --horizon 50000`` takes 7.4 s and 87 MB, ``verify
-#     turan3`` 10.3 s and 87 MB; ``verify qbounds --horizon 50000`` (about
-#     370 000 certified rows, written as they are decided) takes 23.6 s and
-#     87 MB, where keeping every row until the end took 62 s and 269 MB.
-#   * ``verify subadd --horizon 50000`` takes 7.1–7.9 s and 83 MB, nearly all
-#     in the tables: it makes about horizon/2 checks per k, in 0.1 s.
+# Resource ceilings.  Measured on a 2-core host (Intel Xeon, Python 3.11),
+# all with ``--k 2..9 --output csv`` and start-up, memory as the peak RSS
+# (``RUSAGE_CHILDREN``) seen by a small Python parent; ``count`` and
+# ``lemmas`` in their default two processes and in one (``taskset -c 0``):
+#   * ``count --n-max 50000`` takes 3.2–3.8 s and 82 MB, the child's, which
+#     holds its five k's tables; in one process, which builds each k's table
+#     just before its rows, 4.0–4.4 s and 64 MB.  ``count --n 50000`` builds
+#     no k table: 0.8–1.4 s and 23 MB, nearly all the shared pbar table.
+#   * ``verify logconcave --horizon 50000`` takes 4.2–4.6 s, ``turan3``
+#     5.7–8.1 s and ``subadd`` 4.1–4.8 s (about horizon/2 checks per k, in
+#     0.1 s), each 43 MB, since a scan frees its k table when it ends.
+#     ``verify qbounds --horizon 50000`` (about 370 000 certified rows,
+#     written as they are decided) takes 23.6 s and 87 MB.
+#   * ``asym --n-min 50000 --n-max 50000`` takes 0.8–1.4 s and 25 MB.
 #   * ``lemmas --id 2.3 --a-max 26`` takes 1.1–1.9 s, with 35 MB in the parent
 #     and 40 MB in the child; in one process 1.7–2.0 s and 43 MB.  Each step
 #     of a multiplies its time by about 1.3 and its memory by about 1.15.
@@ -279,18 +279,18 @@ def _forked(share: list, work):
             os.waitpid(pid, 0)
 
 
-def _count_blocks(ks: list[int], n_lo: int, n_hi: int, layout: tuple, first: bool):
-    """Yield ``count``'s rows for the k in ``ks`` and n in n_lo..n_hi, one
-    joined block of text per k, sliced from the memoized coefficients.
+def _count_blocks(columns, n_lo: int, layout: tuple, first: bool):
+    """Yield ``count``'s rows for the (k, counts) pairs of ``columns``, with
+    counts from n = n_lo on, one joined block of text per k; each pair is
+    read just before its block, so a generator holds one k's counts at a time.
 
     Together the blocks of both halves, and then the ``layout``'s tail, are
     the bytes :func:`_emit` gives for the rows ``{"k": k, "n": n, "count":
     str(count)}``.  The ``first`` half also yields the layout's head.
     """
     head, row, sep, _ = layout
-    columns = {k: warm_cache(k, n_hi)[n_lo : n_hi + 1] for k in ks}
     lead = head if first else sep
-    for k, counts in columns.items():
+    for k, counts in columns:
         yield lead
         yield sep.join([row.format(k, n, c) for n, c in enumerate(counts, n_lo)])
         lead = sep
@@ -299,26 +299,33 @@ def _count_blocks(ks: list[int], n_lo: int, n_hi: int, layout: tuple, first: boo
 def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
     """Write ``count``'s rows, with the k range cut in two processes.
 
-    The widths build the shared pbar table before the fork, so the child
-    starts from it; a k's own table costs about sqrt(n_hi / k) shifted copies.
+    A single n builds no k table.  For a range the parent builds each k's
+    table just before its block, and the child its whole share first, so it
+    never waits on the pipe.  The widths build the shared pbar table before
+    the fork, so the child starts from it; a k's own table costs about
+    sqrt(n_hi / k) shifted copies.
     """
     from math import sqrt
+
+    def columns(share):
+        if n_lo == n_hi:
+            return ((k, [pk(k, n_hi)]) for k in share)
+        return ((k, pk_series(k, n_hi)) for k in share)
 
     # k is one digit.  pbar_k(n) never decreases in n (adding a part 1 is
     # injective), so each column's widest cell is that of its last row.
     widths = {"k": 1, "n": len(str(n_hi))}
-    widths["count"] = max(len(str(pk_coefficient(k, n_hi))) for k in ks)
+    widths["count"] = max(len(str(pk(k, n_hi))) for k in ks)
     layout = _formats(widths, output, {"count"})
     first, second = _halves(ks, lambda k: sqrt(n_hi / k))
 
     def work(share):
-        for k in share:
-            warm_cache(k, n_hi)
-        return (b.encode() for b in _count_blocks(share, n_lo, n_hi, layout, False))
+        built = list(columns(share))
+        return (b.encode() for b in _count_blocks(built, n_lo, layout, False))
 
     write = sys.stdout.write
     with _forked(second, work) as chunks:
-        for block in _count_blocks(first, n_lo, n_hi, layout, True):
+        for block in _count_blocks(columns(first), n_lo, layout, True):
             write(block)
         for chunk in chunks:
             write(chunk.decode("ascii"))
@@ -514,7 +521,6 @@ def asym(
     rows = []
     try:
         for k in ks:
-            warm_cache(k, n_max)
             for n in ns:
                 est = estimate(k, n, precision)
                 row = est.to_row()

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .precision import DEFAULT_PRECISION
-from .qseries import pk, warm_cache
+from .qseries import pk, pk_series
 
 
 class InequalityError(ValueError):
@@ -64,7 +64,7 @@ _QB_TABLE: dict[int, tuple[int, int, int, int, Fraction]] = {
 
 
 # The exact inequalities on coefficient values, which scan_thresholds
-# decides on the cached tables.
+# decides on one k table built for the scan.
 
 
 def _logconcave_sign(p0: int, p1: int, p2: int) -> int:
@@ -266,14 +266,14 @@ def scan_thresholds(k: int, property: str, horizon: int) -> ThresholdReport:
     separately, since equality genuinely occurs at a few small n.  For
     "subadd" the exceptions are the failing pairs (a, b) of
     :func:`_subadd_exceptions` and n0 is the smallest total beyond which no
-    pair fails.
+    pair fails.  The scan's k table, from :func:`pk_series`, is not kept.
     """
     if property not in PROPERTIES:
         raise InequalityError(f"property must be one of {PROPERTIES}")
     if property == "subadd":
         if horizon < k:
             raise InequalityError(f"horizon {horizon} below minimal total {k}")
-        exceptions = _subadd_exceptions(warm_cache(k, horizon), k, horizon)
+        exceptions = _subadd_exceptions(pk_series(k, horizon), k, horizon)
         observed = max((a + b for a, b in exceptions), default=k - 1) + 1
         return ThresholdReport(k, property, k, observed, horizon, exceptions)
 
@@ -288,7 +288,7 @@ def scan_thresholds(k: int, property: str, horizon: int) -> ThresholdReport:
         raise InequalityError(
             f"horizon {horizon} below published threshold {paper} for k={k}"
         )
-    c = warm_cache(k, horizon + 2)
+    c = pk_series(k, horizon + 2)
     equalities = []
     if property == "logconcave":
         failures = []

@@ -55,8 +55,10 @@ from .precision import (  # noqa: F401  (re-exported precision contract)
 )
 
 # guard against exp() of absurd arguments producing numbers with millions
-# of exponent bits; nothing in scope needs exp beyond e^(10^6)
+# of exponent bits; nothing in scope needs exp beyond e^(10^6).  Reading an
+# endpoint of e^(-10^7) takes about 20 ms, and of e^(-2^2000) never ends.
 _MAX_EXP_ARG = 10**6
+_MIN_EXP_ARG = -(10**7)
 
 
 Exactable = Union[int, Fraction]
@@ -401,7 +403,7 @@ class Interval:
         return self._unary(lambda s, p: (_root(s[0], p, False), _root(s[1], p, True)))
 
     def exp(self) -> "Interval":
-        if self.hi > _MAX_EXP_ARG:
+        if self.hi > _MAX_EXP_ARG or self.lo < _MIN_EXP_ARG:
             raise NumericsError(f"exp argument out of guarded range: {self!r}")
         return self._unary(lambda s, p: (_exp1(s[0], p, False), _exp1(s[1], p, True)))
 

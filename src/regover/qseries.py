@@ -17,6 +17,10 @@ every k.  Each k-regular table up to order N is that table plus
 floor(sqrt(N/k)) shifted copies of 2 pbar: O(N sqrt(N/k)) integer additions
 per k, after an O(N sqrt(N)) shared table that is paid once.
 
+:func:`pk_series` returns a fresh k table and keeps none; :func:`warm_cache`
+memoizes one, for reads by index; :func:`pk` reads that memo where it reaches
+n and otherwise sums one coefficient's terms, building no k table.
+
 Rewriting (-q^a;q^a) as (q^{2a};q^{2a})/(q^a;q^a) gives the same series as
 the eta quotient (q^k;q^k)^2 (q^2;q^2) / ((q;q)^2 (q^{2k};q^{2k})), whose
 exponents :func:`build_spec` returns for the invariants in
@@ -100,50 +104,37 @@ def pk_series(k: int, order: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def pk_coefficient(k: int, n: int) -> int:
-    """pbar_k(n) alone, from the shared pbar table: floor(sqrt(n/k)) terms,
-    with no k-regular table built or memoized."""
+# warm_cache's k tables, one per k, each to the order it was asked for and
+# kept until the process exits; warm_cache is their only writer.  Callers
+# run in one thread, so neither this cache nor the shared pbar table takes a
+# lock; completed tuples are immutable.  A worker process forked by the CLI
+# starts from the parent's tables and grows private copies of both, which
+# the parent never sees.
+_CACHE: dict[int, tuple[int, ...]] = {}
+
+
+def pk(k: int, n: int) -> int:
+    """Exact count of k-regular overpartitions of n: read from warm_cache's
+    table where it reaches n, else summed in floor(sqrt(n/k)) terms."""
     if k < 2:
         raise SeriesError(f"k must be >= 2, got {k}")
     if n < 0:
         raise SeriesError(f"n must be >= 0, got {n}")
+    if n < len(_CACHE.get(k, ())):
+        return _CACHE[k][n]
     table = overpartitions(n)
     shifted = [table[n - k * j * j] for j in range(1, isqrt(n // k) + 1)]
     return table[n] + 2 * (sum(shifted[1::2]) - sum(shifted[::2]))
 
 
-# Memoized coefficient tuples, one per k, grown geometrically by pk and to
-# the asked order by warm_cache.  Callers run in one thread, so neither this
-# cache nor the shared pbar table takes a lock; completed tuples are
-# immutable.  A worker process forked by the CLI starts from the parent's
-# tables and grows private copies of both, which the parent never sees.
-_CACHE: dict[int, tuple[int, ...]] = {}
-
-
-def pk(k: int, n: int) -> int:
-    """Exact count of k-regular overpartitions of n (memoized)."""
-    if k < 2:
-        raise SeriesError(f"k must be >= 2, got {k}")
-    if n < 0:
-        raise SeriesError(f"n must be >= 0, got {n}")
-    cached = _CACHE.get(k)
-    if cached is None or len(cached) - 1 < n:
-        # reads one index at a time grow the table geometrically
-        target = max(n, 2 * (len(cached) - 1 if cached else 0), 256)
-        cached = pk_series(k, target)
-        _CACHE[k] = cached
-    return cached[n]
-
-
 def warm_cache(k: int, order: int) -> tuple[int, ...]:
-    """Grow the memoized series for ``k`` to ``order`` in one pass.
+    """Memoize the series for ``k`` to ``order``, for reads by :func:`pk`.
 
     A shorter table is rebuilt to exactly ``order``, with the shared pbar
     table, since the caller says what it will read.  Returns the memoized
     coefficient tuple, which may run past ``order``.
     """
-    cached = _CACHE.get(k)
-    if cached is None or len(cached) - 1 < order:
+    if len(_CACHE.get(k, ())) <= order:
         _CACHE[k] = pk_series(k, order)
     pk(k, order)  # checks k and order as every read does
     return _CACHE[k]

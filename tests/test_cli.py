@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from regover import chern, cli, combinatorics, inequalities
+from regover import chern, cli, combinatorics, inequalities, qseries
 from regover.cli import (
     A_MAX_CEILING,
     N_MAX_CEILING,
@@ -140,6 +140,31 @@ class TestCount:
         data = json.loads(result.stdout)
         assert [d["n"] for d in data] == list(range(11))
         assert data[-1]["count"] == str(pk(3, 10))
+
+    @pytest.mark.parametrize("output", ["csv", "json", "table"])
+    def test_single_n_builds_no_table(self, runner, monkeypatch, output):
+        # each row of count --n N is the row at N of count --n-max N
+        def no_table(*_args):
+            raise AssertionError("k table built for a single n")
+
+        n = 700
+        whole = runner.invoke(
+            main, ["count", "--k", "2..9", "--n-max", str(n), "--output", output]
+        )
+        monkeypatch.setattr(cli, "pk_series", no_table)
+        monkeypatch.setattr(qseries, "pk_series", no_table)
+        single = runner.invoke(
+            main, ["count", "--k", "2..9", "--n", str(n), "--output", output]
+        )
+        assert (whole.exit_code, single.exit_code) == (0, 0)
+        if output == "json":
+            rows = json.loads(whole.stdout)
+            assert json.loads(single.stdout) == [r for r in rows if r["n"] == n]
+        else:
+            head, *lines = whole.stdout.splitlines(keepends=True)
+            sep = "," if output == "csv" else None
+            at_n = [line for line in lines if line.split(sep)[1] == str(n)]
+            assert single.stdout == "".join([head, *at_n])
 
     def test_deterministic(self, runner):
         args = ["count", "--k", "2..4", "--n-max", "20", "--output", "csv"]
@@ -351,6 +376,23 @@ class TestAsym:
             assert row[key].startswith("[") and row[key].endswith("]")
         for key, value in row.items():
             assert not isinstance(value, float), key
+
+    @pytest.mark.parametrize("n_min, n_max", [(900, 900), (600, 800)])
+    def test_builds_no_table(self, runner, monkeypatch, n_min, n_max):
+        def no_table(*_args):
+            raise AssertionError("k table built for asym")
+
+        monkeypatch.setattr(cli, "pk_series", no_table)
+        monkeypatch.setattr(qseries, "pk_series", no_table)
+        result = runner.invoke(
+            main,
+            ["asym", "--k", "2..9", "--n-min", str(n_min), "--n-max", str(n_max),
+             "--step", "100", "--output", "csv"],
+        )
+        assert result.exit_code == 0
+        rows = rows_from_csv(result.stdout)
+        assert len(rows) == 8 * len(range(n_min, n_max + 1, 100))
+        assert all(r["exact"] == str(pk(int(r["k"]), int(r["n"]))) for r in rows)
 
     def test_bad_range_is_usage_error(self, runner):
         result = runner.invoke(
@@ -622,7 +664,7 @@ class TestJobs:
     ):
         # k = 9 lies in the child's half and k = 2 in the parent's
         module, name = (
-            (cli, "warm_cache") if args[0] == "count"
+            (cli, "pk_series") if args[0] == "count"
             else (combinatorics, "verify_lemma")
         )
         real = getattr(module, name)
@@ -648,7 +690,7 @@ class TestJobs:
 
     def test_parent_failure_kills_a_busy_child(self, runner, monkeypatch, two_cpus):
         # the child would work for a minute; the parent fails at once
-        real = cli.warm_cache
+        real = cli.pk_series
 
         def slow_or_failing(k, *a):
             if k == 9:
@@ -657,7 +699,7 @@ class TestJobs:
                 raise ValueError("planted failure at k=2")
             return real(k, *a)
 
-        monkeypatch.setattr(cli, "warm_cache", slow_or_failing)
+        monkeypatch.setattr(cli, "pk_series", slow_or_failing)
         started = time.monotonic()
         with deadline(30):
             result = runner.invoke(main, ["count", "--k", "2..9", "--n-max", "60"])
@@ -677,7 +719,7 @@ class TestJobs:
         # an interrupt is no Exception: the child leaves without a word
         monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
         module, name = (
-            (cli, "warm_cache") if args[0] == "count"
+            (cli, "pk_series") if args[0] == "count"
             else (combinatorics, "verify_lemma")
         )
         real = getattr(module, name)
@@ -699,9 +741,10 @@ class TestJobs:
         # the child has built its tables and sent part of its rows
         real = cli._count_blocks
 
-        def failing(ks, *a):
-            yield from real(ks, *a)
-            if 9 in ks:
+        def failing(columns, *a):
+            columns = list(columns)
+            yield from real(columns, *a)
+            if 9 in dict(columns):
                 raise ValueError("planted failure after the rows")
 
         monkeypatch.setattr(cli, "_count_blocks", failing)
@@ -829,7 +872,7 @@ class TestResourceCeilings:
         for module, name in [
             (cli, "warm_cache"),
             (cli, "pk"),
-            (cli, "pk_coefficient"),
+            (chern, "estimate"),
             (combinatorics, "verify_lemma"),
             (inequalities, "scan_thresholds"),
         ]:

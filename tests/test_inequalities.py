@@ -431,7 +431,7 @@ class TestScan:
         def no_table(*_args):
             raise AssertionError("table built for a refused k")
 
-        monkeypatch.setattr(inequalities, "warm_cache", no_table)
+        monkeypatch.setattr(inequalities, "pk_series", no_table)
         for prop in ("logconcave", "turan3"):
             with pytest.raises(InequalityError, match=r"k=10.*k = 2\.\.9"):
                 scan_thresholds(10, prop, 100)
@@ -441,6 +441,18 @@ class TestScan:
     def test_rejects_unknown_property(self):
         with pytest.raises(InequalityError):
             scan_thresholds(2, "unimodal", 100)
+
+    @pytest.mark.parametrize("prop", ["logconcave", "turan3", "subadd"])
+    def test_scan_keeps_no_table(self, prop, monkeypatch):
+        # a warmed table stays as it was and no other k table is memoized
+        from regover import qseries
+
+        monkeypatch.setattr(qseries, "_CACHE", {})
+        warm_cache(3, 50)
+        before = dict(qseries._CACHE)
+        scan_thresholds(3, prop, 400)
+        scan_thresholds(4, prop, 400)
+        assert qseries._CACHE == before
 
     def test_report_serialization(self):
         r = scan_thresholds(3, "logconcave", 50)

@@ -437,6 +437,16 @@ class TestSeededSweep:
             ctx = _context(precision)
             assert out._val == ctx.exp(_ref_operand(ctx, x))._mpi_
 
+    @pytest.mark.parametrize(
+        "value", [10**6 + 1, -(10**7) - 1, -(2**2000)], ids=["above", "below", "far-below"]
+    )
+    def test_exp_out_of_the_guarded_range_is_refused(self, value):
+        x = Interval.from_exact(value)
+        with pytest.raises(NumericsError, match="out of guarded range"):
+            x.exp()
+        with pytest.raises(NumericsError, match="out of guarded range"):
+            Interval.from_endpoints(min(value, 0), max(value, 0)).exp()
+
     def test_exp_of_negative_arguments(self):
         rng = random.Random(7)
         for _ in range(200):

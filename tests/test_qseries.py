@@ -243,7 +243,6 @@ class TestPkAccessor:
         pk(2, 3000)
         oracle = eta_quotient_series(build_spec(9), 3000)
         assert pk(9, 3000) == oracle[3000]
-        assert qseries._CACHE[9] == oracle
 
     def test_rejects_bad_args(self):
         with pytest.raises(SeriesError):
@@ -252,10 +251,35 @@ class TestPkAccessor:
             pk(2, -1)
 
 
+class TestPkCoefficient:
+    # pk on a cold cache reads one coefficient from the shared pbar table
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_matches_the_table(self, k, monkeypatch):
+        monkeypatch.setattr(qseries, "_CACHE", {})
+        table = pk_series(k, 2000)
+        for n in (0, 1, k - 1, k, 4 * k, 999, 2000):
+            assert pk(k, n) == table[n]
+        assert qseries._CACHE == {}
+
+    def test_read_past_a_warmed_table_leaves_it_as_it_was(self, monkeypatch):
+        monkeypatch.setattr(qseries, "_CACHE", {})
+        warm_cache(4, 100)
+        assert pk(4, 500) == pk_series(4, 500)[500]
+        assert len(qseries._CACHE[4]) - 1 == 100
+
+    def test_rejects_bad_args(self, monkeypatch):
+        monkeypatch.setattr(qseries, "_CACHE", {})
+        with pytest.raises(SeriesError):
+            pk(1, 5)
+        with pytest.raises(SeriesError):
+            pk(2, -1)
+
+
 class TestWarmCache:
     def test_scans_build_to_the_asked_order(self, monkeypatch):
-        # the log-concavity scan reads H + 2 coefficients after the subadd
-        # scan built H: the table grows to H + 2, not to pk's 2H
+        # the log-concavity scan reads H + 2 coefficients: the shared table
+        # grows to H + 2, and neither scan memoizes a k table
         from regover.inequalities import scan_thresholds
 
         monkeypatch.setattr(qseries, "_OVERPARTITIONS", [1])
@@ -263,17 +287,16 @@ class TestWarmCache:
         H = 3000
         scan_thresholds(2, "subadd", H)
         scan_thresholds(2, "logconcave", H)
-        assert len(qseries._CACHE[2]) - 1 == H + 2
         assert len(qseries._OVERPARTITIONS) - 1 == H + 2
-        assert qseries._CACHE[2] == pk_series(2, H + 2)
+        assert 2 not in qseries._CACHE
 
     def test_longer_table_is_kept(self, monkeypatch):
         monkeypatch.setattr(qseries, "_CACHE", {})
-        pk(5, 10)  # one read builds pk's minimum of 256
+        warm_cache(5, 256)
         assert len(warm_cache(5, 40)) - 1 == 256
         assert len(warm_cache(5, 300)) - 1 == 300
         assert pk(5, 301) == pk_series(5, 600)[301]
-        assert len(qseries._CACHE[5]) - 1 == 600
+        assert len(qseries._CACHE[5]) - 1 == 300
 
     def test_rejects_bad_args(self, monkeypatch):
         monkeypatch.setattr(qseries, "_CACHE", {})
@@ -284,20 +307,6 @@ class TestWarmCache:
         warm_cache(2, 5)
         with pytest.raises(SeriesError):
             warm_cache(2, -1)
-
-
-class TestPkCoefficient:
-    @pytest.mark.parametrize("k", range(2, 10))
-    def test_matches_the_table(self, k):
-        table = pk_series(k, 2000)
-        for n in (0, 1, k - 1, k, 4 * k, 999, 2000):
-            assert qseries.pk_coefficient(k, n) == table[n]
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(SeriesError):
-            qseries.pk_coefficient(1, 5)
-        with pytest.raises(SeriesError):
-            qseries.pk_coefficient(2, -1)
 
 
 # Congruence oracles.  With T = sum_{j>=1} (-1)^j q^(j^2), phi(-q) = 1 + 2T
