@@ -30,29 +30,33 @@ that carries its limit, and ``--help`` shows each range: ``count
 :data:`N_MAX_CEILING`, ``lemmas --a-max`` at :data:`A_MAX_CEILING` and
 ``lemmas --total-max`` at :data:`TOTAL_MAX_CEILING`.
 
-Imports: this module loads only click, :mod:`regover.qseries` and
-:mod:`regover.precision` (the precision bounds and the numeric
-exceptions) at import time, besides ``os`` and :mod:`contextlib`, which are
-loaded already.  Each subcommand imports the layers it runs, and the
-exceptions it catches, inside its own body, so a process pays only for what
-it runs: ``count`` needs nothing more, ``lemmas`` loads
-:mod:`regover.combinatorics`, ``verify`` :mod:`regover.inequalities`
-(``verify qbounds`` also :mod:`regover.numerics`), and ``asym``
-:mod:`regover.chern` and :mod:`regover.numerics`.  No command loads
-mpmath: the interval kernels in :mod:`regover.numerics` are integer code.
-The worker helpers import ``threading``, which
-click has loaded already, and :mod:`signal` only to kill a child left
-running; ``lemmas`` imports :mod:`pickle` only when it forks.  Keep new
-imports inside the commands.
+Imports: this module loads only click, :mod:`json`,
+:mod:`regover.qseries` and :mod:`regover.precision` (the precision bounds
+and the numeric exceptions) at import time, besides ``os``, ``sys``,
+:mod:`contextlib`, :mod:`itertools` and :mod:`operator`, which are loaded
+already.  Each subcommand imports the layers it runs, and the exceptions it
+catches, inside its own body, so a process pays only for what it runs:
+``count`` needs only :mod:`string` more, to parse its row template,
+``lemmas`` loads :mod:`regover.combinatorics`, ``verify``
+:mod:`regover.inequalities` (``verify qbounds`` also
+:mod:`regover.numerics`), and ``asym`` :mod:`regover.chern` and
+:mod:`regover.numerics`.  :mod:`csv` is loaded only where :func:`_emit`
+writes csv rows, which ``count`` and ``verify qbounds`` never do.  No
+command loads mpmath: the interval kernels in :mod:`regover.numerics` are
+integer code.  The worker helpers import ``threading``, which click has
+loaded already, and :mod:`signal` only to kill a child left running;
+``lemmas`` imports :mod:`pickle` only when it forks.  Keep new imports
+inside the commands.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import repeat
+from operator import add
 
 import click
 
@@ -74,23 +78,25 @@ K_MIN, K_MAX = 2, 9
 # all with ``--k 2..9 --output csv`` and start-up, memory as the peak RSS
 # (``RUSAGE_CHILDREN``) seen by a small Python parent; ``count`` and
 # ``lemmas`` in their default two processes and in one (``taskset -c 0``):
-#   * ``count --n-max 50000`` takes 3.2–3.8 s and 82 MB, the child's, which
-#     holds its five k's tables; in one process, which builds each k's table
-#     just before its rows, 4.0–4.4 s and 64 MB.  ``count --n 50000`` builds
-#     no k table: 0.8–1.4 s and 23 MB, nearly all the shared pbar table.
-#   * ``verify logconcave --horizon 50000`` takes 4.2–4.6 s, ``turan3``
-#     5.7–8.1 s and ``subadd`` 4.1–4.8 s (about horizon/2 checks per k, in
-#     0.1 s), each 43 MB, since a scan frees its k table when it ends.
+#   * ``count --n-max 50000`` takes 1.7–1.9 s and 80–81 MB, the child's,
+#     which holds its five k's tables; in one process, which builds each k's
+#     table just before its rows, 2.4–2.5 s and 64–65 MB.  ``count --n
+#     50000`` builds no k table: 0.5 s and 23 MB, nearly all the shared pbar
+#     table.
+#   * ``verify logconcave --horizon 50000`` takes 2.2–2.3 s, ``turan3``
+#     3.6–4.6 s and ``subadd`` 2.2–2.4 s (about horizon/2 checks per k, in
+#     0.1 s), each 38 MB, since a scan frees its k table when it ends.
 #     ``verify qbounds --horizon 50000`` (about 370 000 certified rows,
-#     written as they are decided) takes 23.6 s and 87 MB.
-#   * ``asym --n-min 50000 --n-max 50000`` takes 0.8–1.4 s and 25 MB.
-#   * ``lemmas --id 2.3 --a-max 26`` takes 1.1–1.9 s, with 35 MB in the parent
-#     and 40 MB in the child; in one process 1.7–2.0 s and 43 MB.  Each step
+#     written as they are decided) takes 25 s and 38 MB, since warm_cache
+#     keeps one k's table at a time.
+#   * ``asym --n-min 50000 --n-max 50000`` takes 0.5–0.8 s and 25 MB.
+#   * ``lemmas --id 2.3 --a-max 26`` takes 1.3–1.7 s, with 35 MB in the parent
+#     and 40 MB in the child; in one process 2.0–2.5 s and 43 MB.  Each step
 #     of a multiplies its time by about 1.3 and its memory by about 1.15.
 #     Mapping and checking each image takes most of it, enumerating the
 #     domains about a fifth.
-#   * ``lemmas --id 2.1 --total-max 22`` takes 0.7–1.0 s, with 20 MB in the
-#     parent and 16 MB in the child; in one process 0.9–1.2 s and 20 MB.
+#   * ``lemmas --id 2.1 --total-max 22`` takes 1.0 s, with 20 MB in the
+#     parent and 16 MB in the child; in one process 1.2 s and 20 MB.
 #     Each step of total-max multiplies the time by about 1.3.
 N_MAX_CEILING = 50_000
 A_MAX_CEILING = 26
@@ -140,6 +146,8 @@ def _emit(rows: list[dict], output: str) -> None:
         return
     columns = list(rows[0])
     if output == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -279,20 +287,40 @@ def _forked(share: list, work):
             os.waitpid(pid, 0)
 
 
-def _count_blocks(columns, n_lo: int, layout: tuple, first: bool):
-    """Yield ``count``'s rows for the (k, counts) pairs of ``columns``, with
-    counts from n = n_lo on, one joined block of text per k; each pair is
-    read just before its block, so a generator holds one k's counts at a time.
+def _row_parts(row: str) -> tuple[list[str], list[str]]:
+    """The literal texts around the fields of a :func:`_formats` row template,
+    one more than there are fields, and the fields' format specs."""
+    from string import Formatter
 
-    Together the blocks of both halves, and then the ``layout``'s tail, are
-    the bytes :func:`_emit` gives for the rows ``{"k": k, "n": n, "count":
-    str(count)}``.  The ``first`` half also yields the layout's head.
+    texts, specs = [""], []
+    for text, field, spec, _ in Formatter().parse(row):
+        texts[-1] += text
+        if field is not None:
+            texts.append("")
+            specs.append(spec)
+    return texts, specs
+
+
+def _count_blocks(columns, layout: tuple, n_cells: list[str], first: bool):
+    """Yield ``count``'s rows for the (k, counts) pairs of ``columns`` as
+    blocks of text, a few per k; each pair is read just before its blocks, so
+    a generator holds one k's counts at a time.
+
+    ``n_cells`` is the n column that every k shares: for each row, its n cell
+    and the text up to its count cell.  Together the blocks of both halves,
+    and then the ``layout``'s tail, are the bytes :func:`_emit` gives for the
+    rows ``{"k": k, "n": n, "count": str(count)}``.  The ``first`` half also
+    yields the layout's head.
     """
     head, row, sep, _ = layout
+    (before_k, before_n, _, end), (k_spec, _, count_spec) = _row_parts(row)
     lead = head if first else sep
     for k, counts in columns:
-        yield lead
-        yield sep.join([row.format(k, n, c) for n, c in enumerate(counts, n_lo)])
+        start = before_k + format(k, k_spec) + before_n
+        cells = map(format, counts, repeat(count_spec))
+        yield lead + start
+        yield (end + sep + start).join(map(add, n_cells, cells))
+        yield end
         lead = sep
 
 
@@ -300,10 +328,10 @@ def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
     """Write ``count``'s rows, with the k range cut in two processes.
 
     A single n builds no k table.  For a range the parent builds each k's
-    table just before its block, and the child its whole share first, so it
+    table just before its blocks, and the child its whole share first, so it
     never waits on the pipe.  The widths build the shared pbar table before
-    the fork, so the child starts from it; a k's own table costs about
-    sqrt(n_hi / k) shifted copies.
+    the fork, so the child starts from it, and from the n column; a k's own
+    table costs about sqrt(n_hi / k) shifted copies.
     """
     from math import sqrt
 
@@ -317,18 +345,22 @@ def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
     widths = {"k": 1, "n": len(str(n_hi))}
     widths["count"] = max(len(str(pk(k, n_hi))) for k in ks)
     layout = _formats(widths, output, {"count"})
+    (_, _, before_count, _), (_, n_spec, _) = _row_parts(layout[1])
+    n_cells = [format(n, n_spec) + before_count for n in range(n_lo, n_hi + 1)]
     first, second = _halves(ks, lambda k: sqrt(n_hi / k))
 
     def work(share):
         built = list(columns(share))
-        return (b.encode() for b in _count_blocks(built, n_lo, layout, False))
+        blocks = _count_blocks(built, layout, n_cells, False)
+        return (block.encode() for block in blocks)
 
     write = sys.stdout.write
     with _forked(second, work) as chunks:
-        for block in _count_blocks(columns(first), n_lo, layout, True):
+        for block in _count_blocks(columns(first), layout, n_cells, True):
             write(block)
-        for chunk in chunks:
-            write(chunk.decode("ascii"))
+        # the child's chunks are ascii already: pass them through as bytes
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
     write(layout[3])
 
 

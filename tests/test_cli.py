@@ -243,6 +243,24 @@ class TestVerify:
         assert rows[0]["n"] == "365" and rows[-1]["n"] == "400"
         assert all(r["verdict"] == "true" for r in rows)
 
+    def test_qbounds_keeps_one_table(self, runner, monkeypatch):
+        # each k's warmed table replaces the one before it
+        held = []
+
+        def warm_and_count(*args):
+            table = warm_cache(*args)
+            held.append(len(qseries._CACHE))
+            return table
+
+        monkeypatch.setattr(qseries, "_CACHE", {})
+        monkeypatch.setattr(cli, "warm_cache", warm_and_count)
+        result = runner.invoke(
+            main, ["verify", "qbounds", "--k", "3..4", "--horizon", "500"]
+        )
+        assert result.exit_code == 0
+        assert held == [1, 1]
+        assert list(qseries._CACHE) == [4]
+
     def test_horizon_below_published_threshold_is_usage_error(self, runner):
         result = runner.invoke(
             main, ["verify", "turan3", "--k", "2", "--horizon", "10"]
@@ -539,6 +557,9 @@ class TestJobs:
                 ["count", "--k", "2..3", "--n-max", "300"],
                 ["count", "--k", "2..9", "--n", "150"],
                 ["count", "--k", "2..3", "--n", "7"],
+                # about 240 KB of rows per k: the child's share takes several
+                # 64 KiB pipe reads
+                ["count", "--k", "2..9", "--n-max", "3000"],
             )
             for output in ("csv", "json", "table")
         ] + [
@@ -547,7 +568,10 @@ class TestJobs:
         ],
         ids=[
             f"count-{ks}-{n}-{output}"
-            for ks, n in (("2-9", "nmax"), ("2-3", "nmax"), ("2-9", "n"), ("2-3", "n"))
+            for ks, n in (
+                ("2-9", "nmax"), ("2-3", "nmax"), ("2-9", "n"), ("2-3", "n"),
+                ("2-9", "nmax3000"),
+            )
             for output in ("csv", "json", "table")
         ] + ["lemmas-2.1", "lemmas-2.3"],
     )
@@ -911,7 +935,7 @@ class TestImportFootprint:
         [
             (
                 ["count", "--k", "2", "--n", "10"],
-                ["mpmath", "regover.numerics", "regover.chern",
+                ["mpmath", "csv", "regover.numerics", "regover.chern",
                  "regover.combinatorics", "regover.inequalities"],
             ),
             (
@@ -932,7 +956,7 @@ class TestImportFootprint:
             ),
             (
                 ["verify", "qbounds", "--k", "3", "--horizon", "370"],
-                ["mpmath", "regover.chern", "regover.combinatorics"],
+                ["mpmath", "csv", "regover.chern", "regover.combinatorics"],
             ),
             (
                 ["asym", "--k", "3", "--n-min", "600", "--n-max", "700"],

@@ -202,10 +202,22 @@ class TestPkSeries:
             pk_series(2, -1)
 
     @pytest.mark.parametrize("k", range(2, 10))
+    def test_orders_at_segment_edges(self, k):
+        # the terms j = 1..J cover n in [k J^2, k (J+1)^2): end a table just
+        # before, at and just after each edge, and at orders 0 and k - 1
+        edges = [k * J * J + d for J in range(1, 7) for d in (-1, 0, 1)]
+        oracle = eta_quotient_series(build_spec(k), max(edges))
+        for order in [0, k - 1, *edges]:
+            assert pk_series(k, order) == oracle[: order + 1], order
+
+    @pytest.mark.parametrize("k", range(2, 10))
     def test_positive_and_nondecreasing(self, k):
         s = pk_series(k, 120)
         assert all(c >= 1 for c in s)
         assert all(s[n + 1] >= s[n] for n in range(1, 120))
+
+
+OVERPARTITIONS_SPEC = EtaQuotientSpec(((1, -2), (2, 1)))  # 1/phi(-q)
 
 
 class TestOverpartitionTable:
@@ -214,10 +226,26 @@ class TestOverpartitionTable:
         table = qseries.overpartitions(10)
         assert table[:11] == [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232]
 
+    @pytest.mark.parametrize("start", [1, 2, 3])
+    def test_growth_in_steps_across_squares(self, start, monkeypatch):
+        # the recurrence gains a term at each square m^2: grow the table in
+        # steps that end at m^2 - 1, m^2 and m^2 + 1, from a cold [1] and
+        # from the first two and three entries, and in one step
+        order = 1300
+        oracle = eta_quotient_series(OVERPARTITIONS_SPEC, order)
+        monkeypatch.setattr(qseries, "_OVERPARTITIONS", list(oracle[:start]))
+        for end in [m * m + d for m in range(1, 37) for d in (-1, 0, 1)] + [order]:
+            table = qseries.overpartitions(end)
+            assert len(table) == max(end + 1, start), end
+        stepwise = table
+        monkeypatch.setattr(qseries, "_OVERPARTITIONS", list(oracle[:start]))
+        assert qseries.overpartitions(order) == stepwise
+        assert tuple(stepwise) == oracle
+
     def test_matches_eta_quotient_oracle(self):
         # 1/phi(-q) = (q^2;q^2) / (q;q)^2
         order = 3000
-        oracle = eta_quotient_series(EtaQuotientSpec(((1, -2), (2, 1))), order)
+        oracle = eta_quotient_series(OVERPARTITIONS_SPEC, order)
         assert tuple(qseries.overpartitions(order)[: order + 1]) == oracle
 
 
@@ -289,6 +317,19 @@ class TestWarmCache:
         scan_thresholds(2, "logconcave", H)
         assert len(qseries._OVERPARTITIONS) - 1 == H + 2
         assert 2 not in qseries._CACHE
+
+    def test_memo_holds_one_table(self, monkeypatch):
+        # warming k drops every other k's table; a read of a dropped k sums
+        # its coefficient's terms instead
+        monkeypatch.setattr(qseries, "_CACHE", {})
+        warm_cache(3, 400)
+        warm_cache(4, 300)
+        assert list(qseries._CACHE) == [4]
+        assert pk(3, 400) == pk_series(3, 400)[400]
+        warm_cache(4, 200)
+        warm_cache(3, 100)
+        assert list(qseries._CACHE) == [3]
+        assert len(qseries._CACHE[3]) - 1 == 100
 
     def test_longer_table_is_kept(self, monkeypatch):
         monkeypatch.setattr(qseries, "_CACHE", {})
