@@ -166,15 +166,19 @@ def _theorem_bracket(
 
 @dataclass(frozen=True)
 class AsymptoticEstimate:
-    """Certified bracket data for one (k, n), serializable for reports."""
+    """Certified bracket data for one (k, n), serializable for reports.
+
+    :meth:`to_row` prints the bracket as M and R' and its relative width
+    2R'/M, which is (upper - lower)/M for the bracket M -/+ R' without
+    subtracting M from itself.  Below the validity threshold the R',
+    ``inside`` and width cells are "n/a".
+    """
 
     k: int
     n: int
     mu: Interval
     main: Interval
     remainder: Optional[Interval]
-    lower: Optional[Interval]
-    upper: Optional[Interval]
     exact: int
     inside: Optional[bool]
 
@@ -194,21 +198,29 @@ class AsymptoticEstimate:
             "rprime_hi": rprime_hi,
             "exact": str(self.exact),
             "inside": "n/a" if self.inside is None else str(self.inside).lower(),
+            "rel_width": (
+                "n/a"
+                if self.remainder is None
+                else (2 * self.remainder / self.main).to_string()
+            ),
         }
 
 
 def estimate(k: int, n: int, precision: int = DEFAULT_PRECISION) -> AsymptoticEstimate:
-    """Bracket p_k-bar(n); remainder fields are None below the threshold.
+    """Bracket p_k-bar(n); ``remainder`` and ``inside`` are None below the
+    threshold.
 
-    ``inside`` is the certified verdict of :func:`verify_bracket`; the
-    reported intervals stay at the requested precision.
+    ``inside`` is the certified verdict of :func:`verify_bracket`, whose
+    first round reuses the bracket computed here.  The reported intervals
+    are those at ``precision``; 96 bits already print the row that 768 do
+    (``tests/test_chern.py`` samples k = 2..9 up to n = 50 000).
     """
     _check_k(k)
     m = mu(k, n, precision).value
     exact = pk(k, n)
     if m.lo < N_K[k]:
         main = main_term(k, n, precision)
-        return AsymptoticEstimate(k, n, m, main, None, None, None, exact, None)
+        return AsymptoticEstimate(k, n, m, main, None, exact, None)
     main, remainder, lower, upper = _theorem_bracket(k, n, precision)
 
     def bounds(prec):
@@ -218,7 +230,7 @@ def estimate(k: int, n: int, precision: int = DEFAULT_PRECISION) -> AsymptoticEs
         return _theorem_bracket(k, n, prec)[2:]
 
     inside = certify(exact, bounds, precision, f"bracket comparison for k={k}, n={n}")
-    return AsymptoticEstimate(k, n, m, main, remainder, lower, upper, exact, inside)
+    return AsymptoticEstimate(k, n, m, main, remainder, exact, inside)
 
 
 def verify_bracket(k: int, n: int, precision: Optional[int] = None) -> bool:

@@ -8,20 +8,20 @@ given configuration (stable row ordering, no timestamps).
 Exit codes: 0 = all checks verified, 1 = counterexample found,
 2 = usage or configuration error, 3 = precision exhaustion.
 
-``verify`` and ``asym`` take ``--precision``, their only precision setting:
-it defaults to :data:`regover.precision.DEFAULT_PRECISION` (192 bits), and
-click refuses a value below :data:`regover.precision.MIN_PRECISION` or above
-:data:`regover.precision.MAX_PRECISION` (768 bits, where certified
-comparisons stop escalating) with exit 2.  Nothing is read from the
-environment.
+No command takes a precision: ``verify qbounds`` and ``asym`` call the
+library at its default of 192 bits, and :func:`regover.numerics.certify`
+doubles the precision of an undecided comparison up to 768 bits.  Nothing
+is read from the environment.
 
-``count`` and ``lemmas`` cut their k range in two where the cost before the
-cut comes closest to half: the parent runs the first half and one forked
-child the second (see the worker section below).  Both run in one process
-where only one CPU is usable or os.fork fails, and the output is the same
-either way.  ``verify``, ``asym`` and ``lemmas`` accept ``--jobs`` (a value
-below 1 exits 2), but no command reads it: ``verify`` and ``asym`` run in
-one process, since forking their sweeps gained nothing measurable.
+``count --n-max`` and ``lemmas`` cut their k range in two where the cost
+before the cut comes closest to half: the parent runs the first half and
+one forked child the second (see the worker section below).  Both run in
+one process where only one CPU is usable or os.fork fails, and the output
+is the same either way; ``count --n`` always runs in one, since its few
+short sums gain nothing from a child.  ``verify``, ``asym`` and ``lemmas``
+accept ``--jobs`` (a value below 1 exits 2), but no command reads it:
+``verify`` and ``asym`` run in one process, since forking their sweeps
+gained nothing measurable.
 
 Inputs that would exhaust time or memory fail early with exit 2, before
 any table is built.  Each bounded integer option is a ``click.IntRange``
@@ -31,8 +31,8 @@ that carries its limit, and ``--help`` shows each range: ``count
 ``lemmas --total-max`` at :data:`TOTAL_MAX_CEILING`.
 
 Imports: this module loads only click, :mod:`json`,
-:mod:`regover.qseries` and :mod:`regover.precision` (the precision bounds
-and the numeric exceptions) at import time, besides ``os``, ``sys``,
+:mod:`regover.qseries` and :mod:`regover.precision` (the numeric
+exceptions) at import time, besides ``os``, ``sys``,
 :mod:`contextlib`, :mod:`itertools` and :mod:`operator`, which are loaded
 already.  Each subcommand imports the layers it runs, and the exceptions it
 catches, inside its own body, so a process pays only for what it runs:
@@ -60,13 +60,7 @@ from operator import add
 
 import click
 
-from .precision import (
-    DEFAULT_PRECISION,
-    MAX_PRECISION,
-    MIN_PRECISION,
-    NumericsError,
-    PrecisionExhausted,
-)
+from .precision import NumericsError, PrecisionExhausted
 from .qseries import pk, pk_series, warm_cache
 
 EXIT_COUNTEREXAMPLE = 1
@@ -179,8 +173,8 @@ def _formats(columns: dict[str, int], output: str, quoted=()) -> tuple[str, ...]
 
 # -- worker processes --------------------------------------------------------
 #
-# ``count`` and ``lemmas`` cut their k range in two where the cost before the
-# cut comes closest to half.  The parent runs the first half and writes as it
+# ``count --n-max`` and ``lemmas`` cut their k range in two where the cost
+# before the cut comes closest to half.  The parent runs the first half and writes as it
 # goes; the second runs in a child forked with os.fork, which starts from the
 # parent's tables.  multiprocessing costs about 21 ms to import, and a spawned
 # child would import everything again and rebuild the shared pbar table.  Two
@@ -325,29 +319,34 @@ def _count_blocks(columns, layout: tuple, n_cells: list[str], first: bool):
 
 
 def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
-    """Write ``count``'s rows, with the k range cut in two processes.
+    """Write ``count``'s rows, with a range's k range cut in two processes.
 
-    A single n builds no k table.  For a range the parent builds each k's
-    table just before its blocks, and the child its whole share first, so it
-    never waits on the pipe.  The widths build the shared pbar table before
-    the fork, so the child starts from it, and from the n column; a k's own
-    table costs about sqrt(n_hi / k) shifted copies.
+    The counts at n_hi give the widths, and for a single n they are the
+    rows, written by this process without any k table.  For a range the
+    parent builds each k's table just before its blocks, and the child its
+    whole share first, so it never waits on the pipe.  The widths build the
+    shared pbar table before the fork, so the child starts from it, and from
+    the n column; a k's own table costs about sqrt(n_hi / k) shifted copies.
     """
     from math import sqrt
 
-    def columns(share):
-        if n_lo == n_hi:
-            return ((k, [pk(k, n_hi)]) for k in share)
-        return ((k, pk_series(k, n_hi)) for k in share)
-
     # k is one digit.  pbar_k(n) never decreases in n (adding a part 1 is
     # injective), so each column's widest cell is that of its last row.
-    widths = {"k": 1, "n": len(str(n_hi))}
-    widths["count"] = max(len(str(pk(k, n_hi))) for k in ks)
+    last = {k: pk(k, n_hi) for k in ks}
+    widths = {"k": 1, "n": len(str(n_hi)), "count": len(str(max(last.values())))}
     layout = _formats(widths, output, {"count"})
     (_, _, before_count, _), (_, n_spec, _) = _row_parts(layout[1])
     n_cells = [format(n, n_spec) + before_count for n in range(n_lo, n_hi + 1)]
-    first, second = _halves(ks, lambda k: sqrt(n_hi / k))
+
+    def columns(share):
+        if n_lo == n_hi:
+            return ((k, [last[k]]) for k in share)
+        return ((k, pk_series(k, n_hi)) for k in share)
+
+    if n_lo == n_hi:
+        first, second = ks, []
+    else:
+        first, second = _halves(ks, lambda k: sqrt(n_hi / k))
 
     def work(share):
         built = list(columns(share))
@@ -364,7 +363,7 @@ def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
     write(layout[3])
 
 
-def _write_qbounds(horizons: dict[int, int], output: str, precision: int) -> bool:
+def _write_qbounds(horizons: dict[int, int], output: str) -> bool:
     """Certify and write ``verify qbounds``' rows; True iff some row failed.
 
     The bytes are those :func:`_emit` gives for the rows
@@ -386,7 +385,7 @@ def _write_qbounds(horizons: dict[int, int], output: str, precision: int) -> boo
     for k, h in horizons.items():
         warm_cache(k, h + 1)
         for n in range(QBOUND_THRESHOLDS[k], h + 1):
-            ok = verify_q_containment(k, n, precision)
+            ok = verify_q_containment(k, n)
             failed = failed or not ok
             write(sep + row.format(k, n, "qbounds", "true" if ok else "false"))
             sep = joiner
@@ -415,13 +414,6 @@ _JOBS = click.option(
     expose_value=False,
     help="At least 1, and read by no command: lemmas runs in 2 processes (1 "
     "where only one CPU is usable), verify and asym in 1.",
-)
-_PRECISION = click.option(
-    "--precision",
-    type=click.IntRange(MIN_PRECISION, MAX_PRECISION),
-    default=DEFAULT_PRECISION,
-    show_default=True,
-    help="Working precision in bits.",
 )
 
 
@@ -474,20 +466,18 @@ def _default_horizon(prop: str, k: int) -> int:
     type=click.IntRange(max=N_MAX_CEILING),
     help="Sweep upper limit (n, or a+b for subadd) [default: per property].",
 )
-@_PRECISION
 @_JOBS
 @_OUTPUT
-def verify(
-    property: str, ks: list[int], horizon: int | None, precision: int, output: str
-) -> None:
+def verify(property: str, ks: list[int], horizon: int | None, output: str) -> None:
     """Sweep one inequality over a k range; exit 0 iff no counterexample.
 
     subadd / logconcave / turan3 run exact big-integer scans and emit one
     threshold report per k, without loading mpmath.  qbounds certifies
     L(n) < Q_k(n) < R(n) row by row, with the printed bounds evaluated in
     directed-rounded fixed-point integers, and streams one verdict row per
-    n; a row undecided at the precision cap exits 3 after the rows before
-    it.
+    n.  Each row's precision starts at 192 bits and doubles while the row
+    is undecided; a row still undecided at 768 bits exits 3 after the rows
+    before it.
     """
     from .inequalities import QBOUND_THRESHOLDS, InequalityError, scan_thresholds
 
@@ -505,7 +495,7 @@ def verify(
                         f"qbounds for k={k} start at n={threshold}; "
                         f"horizon {h} is below it"
                     )
-            failed = _write_qbounds(horizons, output, precision)
+            failed = _write_qbounds(horizons, output)
         else:
             reports = [scan_thresholds(k, property, h) for k, h in horizons.items()]
             for rep in reports:
@@ -534,34 +524,23 @@ def verify(
 @click.option("--n-min", type=click.IntRange(min=1), required=True)
 @click.option("--n-max", type=click.IntRange(1, N_MAX_CEILING), required=True)
 @click.option("--step", type=click.IntRange(min=1), default=1, show_default=True)
-@_PRECISION
 @_JOBS
 @_OUTPUT
-def asym(
-    ks: list[int], n_min: int, n_max: int, step: int, precision: int, output: str
-) -> None:
+def asym(ks: list[int], n_min: int, n_max: int, step: int, output: str) -> None:
     """Certified main-term brackets versus exact counts.
 
-    Rows below the bracket's validity threshold carry "n/a" in the
-    remainder, containment, and relative-width columns.
+    inside=true certifies the count strictly inside main -/+ R', decided
+    from 192 bits and doubling up to 768; a row undecided at 768 bits exits
+    3.  rel_width is 2R'/main.  Rows below the bracket's validity threshold
+    carry "n/a" in the remainder, containment, and relative-width columns.
     """
     from .chern import ChernError, estimate
 
     if n_max < n_min:
         raise click.UsageError("need n-min <= n-max")
     ns = list(range(n_min, n_max + 1, step))
-    rows = []
     try:
-        for k in ks:
-            for n in ns:
-                est = estimate(k, n, precision)
-                row = est.to_row()
-                if est.remainder is None:
-                    row["rel_width"] = "n/a"
-                else:
-                    rel = (est.upper - est.lower) / est.main
-                    row["rel_width"] = rel.to_string()
-                rows.append(row)
+        rows = [estimate(k, n).to_row() for k in ks for n in ns]
     except PrecisionExhausted as exc:
         click.echo(f"precision exhausted: {exc}", err=True)
         sys.exit(EXIT_PRECISION)

@@ -34,8 +34,7 @@ arguments, never on the process environment.
 Dedekind sums, the phases of the exponential sums A-hat in the tests'
 expansion oracle, are exact rationals, computed by reciprocity in O(log j)
 steps, and never touch intervals.  The precision constants and the two
-exceptions live in the mpmath-free :mod:`regover.precision` and are
-re-exported here.
+exceptions live in :mod:`regover.precision` and are re-exported here.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""The working-precision contract, without mpmath.
+"""The working-precision contract: its constants and numeric exceptions.
 
-The precision constants and the two numeric exceptions live here so that
-code which only validates a precision, or only catches these errors, does
-not import mpmath.  :data:`DEFAULT_PRECISION` is a plain default value:
-every library function takes its precision as an argument, and nothing
-reads it from the environment.  :mod:`regover.numerics` re-exports every
-name.
+They live apart from :mod:`regover.numerics` so that code which only
+catches these errors, such as :mod:`regover.cli`, need not import the
+interval layer.  :data:`DEFAULT_PRECISION` is a plain default value: every
+library function takes its precision as an argument, and nothing reads it
+from the environment.  :mod:`regover.numerics` re-exports every name.
 """
 
 from __future__ import annotations

@@ -258,7 +258,29 @@ class TestEstimate:
     def test_below_threshold_flagged(self):
         est = estimate(2, 10)
         assert est.remainder is None and est.inside is None
-        assert est.to_row()["rprime_hi"] == "n/a"
+        row = est.to_row()
+        assert row["rprime_hi"] == row["rel_width"] == "n/a"
+
+    @pytest.mark.parametrize("n", [5000, 9000, 20000, 50000])
+    def test_rel_width_is_tight_and_positive(self, n):
+        # (upper - lower)/main would straddle 0 here at 192 bits, since main
+        # does not cancel in interval arithmetic.  2R'/M has a positive lower
+        # end and a 20-digit width, and encloses 2R'/M taken at 768 bits.
+        # mu_9(5000) ~ 209 lies below N_K[9] = 268: k = 9 has no width there
+        for k in KS if n > 5000 else KS[:-1]:
+            cell = estimate(k, n).to_row()["rel_width"]
+            lo, hi = (Fraction(end) for end in cell[1:-1].split(","))
+            ref = 2 * remainder_bound(k, n, 768) / main_term(k, n, 768)
+            assert 0 < lo <= ref.lo and ref.hi <= hi, (k, cell)
+            assert hi - lo < lo / 10**18, (k, cell)
+
+    @pytest.mark.parametrize(
+        "k, n", [(2, 1000), (3, 5000), (6, 9000), (9, 20000), (2, 50000), (7, 50000)]
+    )
+    def test_row_is_the_same_from_96_bits(self, k, n):
+        rows = [estimate(k, n, bits).to_row() for bits in (96, 192, 384, 768)]
+        assert rows[0]["rel_width"] != "n/a"
+        assert all(row == rows[0] for row in rows[1:])
 
     def test_json(self):
         import json

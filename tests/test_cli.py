@@ -267,26 +267,6 @@ class TestVerify:
         )
         assert result.exit_code == 2
 
-    def test_bad_precision_is_usage_error(self, runner):
-        result = runner.invoke(
-            main,
-            [
-                "verify", "qbounds", "--k", "3", "--horizon", "366",
-                "--precision", "16",
-            ],
-        )
-        assert result.exit_code == 2
-
-    @pytest.mark.parametrize("bits", ["16", "63"], ids=["option-16", "option-63"])
-    def test_exact_scan_rejects_bad_precision(self, runner, bits):
-        # the exact scans never read the precision, but validate it all the same
-        result = runner.invoke(
-            main, ["verify", "turan3", "--k", "2..9", "--precision", bits]
-        )
-        assert result.exit_code == 2
-        assert f"{bits} is not in the range 64<=x<=768" in result.stderr
-        assert result.stdout == ""
-
     @pytest.mark.parametrize("output", ["csv", "json", "table"])
     @pytest.mark.parametrize(
         "ks, horizon",
@@ -337,8 +317,8 @@ class TestAsym:
     def test_precision_environment_variable_is_ignored(
         self, runner, monkeypatch, value
     ):
-        # --precision is the only precision setting: a REGOVER_PRECISION in
-        # the environment changes neither the rows nor the exit code
+        # no command takes a precision, and a REGOVER_PRECISION in the
+        # environment changes neither the rows nor the exit code
         args = ["asym", "--k", "3", "--n-min", "600", "--n-max", "700",
                 "--step", "50", "--output", "csv"]
         monkeypatch.delenv("REGOVER_PRECISION", raising=False)
@@ -367,19 +347,23 @@ class TestAsym:
         assert above["mu"].startswith("[") and above["mu"].endswith("]")
 
     def test_rel_width_shrinks(self, runner):
+        # past n = 5000, (upper - lower)/main would straddle 0 at 192 bits,
+        # with an upper end near 1e-55 that no longer shrinks
         result = runner.invoke(
             main,
             [
-                "asym", "--k", "3", "--n-min", "500", "--n-max", "1000",
-                "--step", "500", "--output", "json",
+                "asym", "--k", "3", "--n-min", "6000", "--n-max", "12000",
+                "--step", "6000", "--output", "json",
             ],
         )
         rows = json.loads(result.stdout)
 
-        def upper(cell):
-            return float(cell[1:-1].split(",")[1])
+        def ends(cell):
+            return [float(end) for end in cell[1:-1].split(",")]
 
-        assert upper(rows[1]["rel_width"]) < upper(rows[0]["rel_width"])
+        (lo0, hi0), (lo1, hi1) = (ends(row["rel_width"]) for row in rows)
+        assert 0 < lo1 <= hi1 < lo0 <= hi0
+        assert hi1 < 1e-90
 
     def test_no_bare_floats_in_machine_output(self, runner):
         result = runner.invoke(
@@ -591,7 +575,8 @@ class TestJobs:
                 monkeypatch.setattr(os, "fork", fork)
                 results.append(runner.invoke(main, args))
         assert_no_child_left()
-        assert failed_forks == [1]
+        # count --n runs in one process and never tries to fork
+        assert failed_forks == ([] if "--n" in args else [1])
         one = results[0]
         assert one.stdout
         if args[0] == "lemmas":
@@ -600,6 +585,38 @@ class TestJobs:
             assert (other.exit_code, other.stdout, other.stderr) == (
                 one.exit_code, one.stdout, one.stderr
             )
+
+    @pytest.mark.parametrize("output", ["csv", "json", "table"])
+    def test_single_n_counts_in_one_process(
+        self, runner, monkeypatch, two_cpus, output
+    ):
+        # count --n N prints the rows at N of count --n-max N, byte for byte,
+        # without forking even where two CPUs are usable
+        n = 150
+        ranged = runner.invoke(
+            main, ["count", "--k", "2..9", "--n-max", str(n), "--output", output]
+        )
+        assert ranged.exit_code == 0
+
+        def no_fork():
+            raise AssertionError("forked for a single n")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        single = runner.invoke(
+            main, ["count", "--k", "2..9", "--n", str(n), "--output", output]
+        )
+        assert single.exit_code == 0, single.exception
+        if output == "json":
+            at_n = [row for row in json.loads(ranged.stdout) if row["n"] == n]
+            assert single.stdout == json.dumps(at_n) + "\n"
+        else:
+            head, *lines = ranged.stdout.splitlines(keepends=True)
+            at_n = [
+                line for line in lines
+                if line.replace(",", " ").split()[1] == str(n)
+            ]
+            assert len(at_n) == 8
+            assert single.stdout == head + "".join(at_n)
 
     def test_lemma_notice_at_every_job_count(self, runner, monkeypatch, two_cpus):
         args = ["lemmas", "--id", "2.1", "--k", "2..9", "--total-max", "10"]
@@ -834,44 +851,29 @@ class TestResourceCeilings:
             ),
             (
                 ["asym", "--k", "3", "--n-min", "600", "--n-max", "600",
-                 "--precision", "769"],
-                "769 is not in the range 64<=x<=768",
+                 "--precision", "192"],
+                "No such option '--precision'",
             ),
             (
                 ["verify", "qbounds", "--k", "3", "--horizon", "400",
-                 "--precision", "769"],
-                "769 is not in the range 64<=x<=768",
+                 "--precision", "192"],
+                "No such option '--precision'",
             ),
             (
-                ["verify", "turan3", "--k", "2..9", "--precision", "769"],
-                "769 is not in the range 64<=x<=768",
+                ["verify", "turan3", "--k", "2..9", "--precision", "192"],
+                "No such option '--precision'",
             ),
         ],
         ids=["asym-n-min-0", "asym-precision", "qbounds-precision", "turan3-precision"],
     )
     def test_refused_before_any_table(self, runner, monkeypatch, args, message):
-        # n = 0 has no mu, and certified comparisons never escalate past
-        # MAX_PRECISION: both are usage errors before any table is built
+        # n = 0 has no mu, and no command takes a precision, not even the
+        # default 192 bits: both are usage errors before any table is built
         self.forbid_work(monkeypatch)
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert message in result.stderr
         assert result.stdout == ""
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["asym", "--k", "3", "--n-min", "600", "--n-max", "600",
-             "--precision", "768", "--output", "csv"],
-            ["verify", "qbounds", "--k", "3", "--horizon", "366",
-             "--precision", "768", "--output", "csv"],
-        ],
-        ids=["asym", "qbounds"],
-    )
-    def test_max_precision_is_accepted(self, runner, args):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
-        assert rows_from_csv(result.stdout)
 
     def test_ceilings_cover_the_benchmark_and_test_sizes(self):
         # the benchmark's largest count --n-max (8000), above its verify
