@@ -1,29 +1,28 @@
-"""Asymptotic machinery for eta-quotient coefficients.
+"""Asymptotic machinery for the k-regular overpartition counts.
 
-Computes the Delta invariants of an eta quotient, the Bessel main term
-C_k(n) I1(mu_k), the printed closed-form remainder bounds, and the resulting
-certified two-sided brackets for the k-regular overpartition counts.  Every
-bracket verdict, including the ``inside`` column of :func:`estimate`, is
-decided by :func:`regover.numerics.certify`.
+Computes the Bessel main term C_k(n) I1(mu_k), the printed closed-form
+remainder bounds, and the resulting certified two-sided brackets for the
+k-regular overpartition counts.  Every bracket verdict, including the
+``inside`` column of :func:`estimate`, is decided by
+:func:`regover.numerics.certify`.
 
-The certificates rest on one term of the asymptotic: the main term's
-leading coefficient, computed from the invariants, with the printed
-remainder table and its corollary bracket.  Only the Delta1 = 0 branch of
-the asymptotic is used; every k-regular spec has Delta1 = 0 and Delta2 = 0,
-which the tests check rather than assume.  The full truncated expansion over
-the Kloosterman-type sums A-hat, which checks the invariants against the
-exact counts, is a test oracle (``tests/expansion_oracle.py``), not part of
-the package.
+The certificates rest on one term of Chern's asymptotic for the eta
+quotient (q^k;q^k)^2 (q^2;q^2) / ((q;q)^2 (q^{2k};q^{2k})): the main term's
+leading coefficient, with the printed remainder table and its corollary
+bracket.  That quotient has Delta1 = 0, Delta2 = 0, Delta3(1) = 3 (k-1) /
+(2k) and Delta4(1)^2 = 1/k, so the coefficient is taken in closed form,
+pi sqrt(k-1) / (2k sqrt(n)).  The Delta invariants of a general eta
+quotient, and the full truncated expansion over the Kloosterman-type sums
+A-hat that checks them against the exact counts, are test oracles
+(``tests/expansion_oracle.py``), and the tests check each closed form here
+against them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
 from .numerics import (
     DEFAULT_PRECISION,
@@ -33,48 +32,11 @@ from .numerics import (
     mu,
     pi,
 )
-from .qseries import EtaQuotientSpec, build_spec, pk
+from .qseries import pk
 
 
 class ChernError(ValueError):
     """Raised on domain violations in the asymptotic machinery."""
-
-
-@dataclass(frozen=True)
-class ChernInvariants:
-    """The Delta invariants of an eta quotient.
-
-    delta4_sq holds the exact rational squares of the algebraic Delta4
-    values.
-    """
-
-    delta1: Fraction
-    delta2: int
-    delta3: Mapping[int, Fraction]
-    delta4_sq: Mapping[int, Fraction]
-    L: int
-
-
-def invariants(spec: EtaQuotientSpec) -> ChernInvariants:
-    """Compute Delta1, Delta2, Delta3(l), the squares of Delta4(l), and L."""
-    factors = spec.factors
-    delta1 = -Fraction(sum(d for _, d in factors), 2)
-    delta2 = sum(m * d for m, d in factors)
-    L = math.lcm(*(m for m, _ in factors))
-    delta3 = {}
-    delta4_sq = {}
-    for l in range(1, L + 1):
-        d3 = Fraction(0)
-        d4sq = Fraction(1)
-        for m, d in factors:
-            g = math.gcd(m, l)
-            d3 -= Fraction(d * g * g, m)
-            d4sq *= Fraction(m, g) ** (-d)
-        delta3[l] = d3
-        delta4_sq[l] = d4sq
-    return ChernInvariants(
-        delta1, delta2, MappingProxyType(delta3), MappingProxyType(delta4_sq), L
-    )
 
 
 # Remainder bounds: R'_k(n) = coeff * sqrt(rad) * pi^(3/2) / sqrt(mu_k)
@@ -110,26 +72,23 @@ def _require_mu(k: int, n: int, threshold: int, precision: int) -> Interval:
     return m
 
 
-@cache
-def _invariants_for_k(k: int) -> ChernInvariants:
-    return invariants(build_spec(k))
-
-
 def main_term(k: int, n: int, precision: int = DEFAULT_PRECISION) -> Interval:
     """Enclosure of the true Bessel main term C_k(n) * I1(mu_k(n)).
 
-    The constant is 2 pi sqrt(Delta4(1)^2 Delta3(1) / (24 n + Delta2)),
-    the leading (kk = 1) coefficient of the verified expansion.  The
-    paper's printed closed-form constants are this one times the number of
-    positive residue classes, an erratum that ``tests/test_chern.py``
-    (``TestMainTerm``) checks against the printed table.
+    The constant is 2 pi sqrt(Delta4(1)^2 Delta3(1) / (24 n + Delta2)), the
+    leading (kk = 1) coefficient of the verified expansion, which with
+    Delta4(1)^2 = 1/k, Delta3(1) = 3 (k-1) / (2k) and Delta2 = 0 is
+    2 pi sqrt((k-1) / (16 k^2 n)) = pi sqrt(k-1) / (2k sqrt(n));
+    ``tests/test_chern.py`` checks the closed form against the invariants.
+    The paper's printed closed-form constants are this one times the number
+    of positive residue classes, an erratum that ``TestMainTerm`` checks
+    against the printed table.
     """
     _check_k(k)
     if n < 1:
         raise ChernError(f"n must be >= 1, got {n}")
-    inv = _invariants_for_k(k)
     m = mu(k, n, precision).value
-    inner = inv.delta4_sq[1] * inv.delta3[1] / (24 * n + inv.delta2)
+    inner = Fraction(k - 1, 16 * k * k * n)
     c = 2 * pi(precision) * Interval.from_exact(inner, precision).sqrt()
     return c * bessel_i1(m)
 

@@ -184,7 +184,8 @@ def _q_rows(
     one = 1 << s
     t = _inverse_powers(m, s)
     # A = (Delta3(1) / 3)^2 with Delta3(1) = 3 (k-1) / (2k), and B = 3A:
-    # A = a / d and B = 3a / d
+    # A = a / d and B = 3a / d (the tests check Delta3(1) against the
+    # invariants of the eta-quotient oracle)
     a, d = (k - 1) ** 2, 4 * k * k
     c5, c6, d5, d6, e = _QB_TABLE[k]
     a3 = _product(a, d, p4, t[3], s)

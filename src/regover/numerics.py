@@ -397,7 +397,7 @@ class Interval:
         return self._unary(_pow, exponent)
 
     def sqrt(self) -> "Interval":
-        if self.lo < 0:
+        if self._val[0][0]:  # the sign bit of lo; zero is always _ZERO
             raise NumericsError(f"sqrt of interval with negative lo: {self!r}")
         return self._unary(lambda s, p: (_root(s[0], p, False), _root(s[1], p, True)))
 
@@ -499,7 +499,9 @@ def mu(k: int, n: int, precision: int = DEFAULT_PRECISION) -> MuValue:
     """mu_k(n) = pi * sqrt((k-1) n / k), evaluated as pi * sqrt((k-1) k n) / k.
 
     This is pi * sqrt(2 n Delta3(1) / 3) with Delta2 = 0: for the k-regular
-    overpartition quotient Delta3(1) = 3 (k-1) / (2k).
+    overpartition quotient Delta3(1) = 3 (k-1) / (2k), which
+    ``tests/test_numerics.py`` checks against the invariants in
+    ``tests/expansion_oracle.py``.
     """
     if not 2 <= k <= 9:
         raise NumericsError(f"mu is defined for k in 2..9, got {k}")

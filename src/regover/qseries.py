@@ -28,9 +28,10 @@ memo where it is k's and reaches n, and otherwise sums one coefficient's
 terms, building no k table.
 
 Rewriting (-q^a;q^a) as (q^{2a};q^{2a})/(q^a;q^a) gives the same series as
-the eta quotient (q^k;q^k)^2 (q^2;q^2) / ((q;q)^2 (q^{2k};q^{2k})), whose
-exponents :func:`build_spec` returns for the invariants in
-:mod:`regover.chern`.
+the eta quotient (q^k;q^k)^2 (q^2;q^2) / ((q;q)^2 (q^{2k};q^{2k})).  Its
+expansion by the pentagonal number theorem, which shares no arithmetic with
+the theta path, is the oracle in ``tests/qseries_oracle.py`` that the tables
+here are checked against.
 
 Everything here is exact: coefficients are Python ints, truncation orders
 are explicit, and no floating point is involved anywhere.
@@ -38,37 +39,12 @@ are explicit, and no floating point is involved anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import itemgetter, sub
 
 
 class SeriesError(ValueError):
     """Raised on contract violations in series arithmetic."""
-
-
-@dataclass(frozen=True)
-class EtaQuotientSpec:
-    """Exponent data (m_r, delta_r) for a finite product of Euler factors."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise SeriesError("eta quotient needs at least one factor")
-        for m, _ in self.factors:
-            if m < 1:
-                raise SeriesError(f"factor modulus must be >= 1, got {m}")
-        object.__setattr__(
-            self, "factors", tuple((int(m), int(d)) for m, d in self.factors)
-        )
-
-
-def build_spec(k: int) -> EtaQuotientSpec:
-    """Eta-quotient exponents for the k-regular overpartition series."""
-    if k < 2:
-        raise SeriesError(f"k must be >= 2, got {k}")
-    return EtaQuotientSpec(((1, -2), (2, 1), (k, 2), (2 * k, -1)))
 
 
 # pbar(0), pbar(1), ...: the overpartition counts shared by every k.  The table

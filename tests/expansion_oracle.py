@@ -1,19 +1,26 @@
-"""Test oracle: Chern's truncated asymptotic expansion and the two-sided I1
-bound, the validation tools the certificates do not run.
+"""Test oracle: the Delta invariants of an eta quotient, Chern's truncated
+asymptotic expansion and the two-sided I1 bound, the validation tools the
+certificates do not run.
 
-The expansion sums the Bessel terms of every positive residue class l
+:func:`invariants` computes Delta1, Delta2, Delta3(l) and Delta4(l)^2 of any
+``EtaQuotientSpec`` (``qseries_oracle``); the package uses only their closed
+forms for the k-regular quotient, in ``chern.main_term``, ``numerics.mu``
+and ``inequalities._q_rows``, and the tests check each against them.  The
+expansion sums the Bessel terms of every positive residue class l
 (Delta3(l) > 0) over the exponential sums A-hat with exact rational
-Dedekind-sum phases, so it checks the Delta invariants that
-``chern.main_term`` reads against the exact counts.  The I1 bracket
-e^s / sqrt(2 pi s) (E_I(s) -/+ 31/s^6) checks ``numerics.bessel_i1``.  Both
-evaluate in :class:`regover.numerics.Interval`; only ``a_hat``'s cos and sin
-load mpmath.
+Dedekind-sum phases, so it checks the invariants against the exact counts.
+The I1 bracket e^s / sqrt(2 pi s) (E_I(s) -/+ 31/s^6) checks
+``numerics.bessel_i1``.  Both evaluate in
+:class:`regover.numerics.Interval`; only ``a_hat``'s cos and sin load mpmath.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
-from regover.chern import ChernError, ChernInvariants, invariants
+from regover.chern import ChernError
 from regover.numerics import (
     DEFAULT_PRECISION,
     Interval,
@@ -22,6 +29,45 @@ from regover.numerics import (
     dedekind_sum,
     pi,
 )
+
+from qseries_oracle import EtaQuotientSpec
+
+
+@dataclass(frozen=True)
+class ChernInvariants:
+    """The Delta invariants of an eta quotient.
+
+    delta4_sq holds the exact rational squares of the algebraic Delta4
+    values.
+    """
+
+    delta1: Fraction
+    delta2: int
+    delta3: Mapping[int, Fraction]
+    delta4_sq: Mapping[int, Fraction]
+    L: int
+
+
+def invariants(spec: EtaQuotientSpec) -> ChernInvariants:
+    """Compute Delta1, Delta2, Delta3(l), the squares of Delta4(l), and L."""
+    factors = spec.factors
+    delta1 = -Fraction(sum(d for _, d in factors), 2)
+    delta2 = sum(m * d for m, d in factors)
+    L = math.lcm(*(m for m, _ in factors))
+    delta3 = {}
+    delta4_sq = {}
+    for l in range(1, L + 1):
+        d3 = Fraction(0)
+        d4sq = Fraction(1)
+        for m, d in factors:
+            g = math.gcd(m, l)
+            d3 -= Fraction(d * g * g, m)
+            d4sq *= Fraction(m, g) ** (-d)
+        delta3[l] = d3
+        delta4_sq[l] = d4sq
+    return ChernInvariants(
+        delta1, delta2, MappingProxyType(delta3), MappingProxyType(delta4_sq), L
+    )
 
 
 def positive_classes(inv: ChernInvariants) -> list[int]:

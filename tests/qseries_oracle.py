@@ -1,8 +1,10 @@
 """Independent reference for the k-regular overpartition series.
 
-The series is expanded here from its eta quotient (``build_spec``): each
-Euler factor (q^m;q^m)_inf is expanded by the pentagonal number theorem and
-multiplied into, or divided out of, a dense series.  It shares no arithmetic
+The series is expanded here from its eta quotient: ``build_spec`` gives the
+exponents (m_r, delta_r) of (q^k;q^k)^2 (q^2;q^2) / ((q;q)^2 (q^{2k};q^{2k})),
+and each Euler factor (q^m;q^m)_inf is expanded by the pentagonal number
+theorem and multiplied into, or divided out of, a dense series.  The same
+``EtaQuotientSpec`` feeds the Delta invariants in ``expansion_oracle``.  It shares no arithmetic
 with the theta-series path of ``regover.qseries.pk_series``, so the tests use
 it as the oracle that ``pk_series`` must reproduce coefficient for
 coefficient.  A series is the tuple of its coefficients, the coefficient of
@@ -14,11 +16,36 @@ helpers (``series_mul``, ``series_invert``, ``euler_series``,
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
-from regover.qseries import EtaQuotientSpec, SeriesError
+from regover.qseries import SeriesError
 
 Series = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class EtaQuotientSpec:
+    """Exponent data (m_r, delta_r) for a finite product of Euler factors."""
+
+    factors: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if not self.factors:
+            raise SeriesError("eta quotient needs at least one factor")
+        for m, _ in self.factors:
+            if m < 1:
+                raise SeriesError(f"factor modulus must be >= 1, got {m}")
+        object.__setattr__(
+            self, "factors", tuple((int(m), int(d)) for m, d in self.factors)
+        )
+
+
+def build_spec(k: int) -> EtaQuotientSpec:
+    """Eta-quotient exponents for the k-regular overpartition series."""
+    if k < 2:
+        raise SeriesError(f"k must be >= 2, got {k}")
+    return EtaQuotientSpec(((1, -2), (2, 1), (k, 2), (2 * k, -1)))
 
 
 def unit_series(order: int) -> Series:

@@ -13,23 +13,31 @@ from regover.chern import (
     N_K,
     NDOT_K,
     estimate,
-    invariants,
     main_term,
     pk_bounds,
     remainder_bound,
     verify_bracket,
     verify_corollary_bracket,
 )
-from regover.numerics import Interval, PrecisionExhausted, dedekind_sum, mu, pi
-from regover.qseries import EtaQuotientSpec, build_spec, pk
+from regover.numerics import (
+    Interval,
+    PrecisionExhausted,
+    bessel_i1,
+    dedekind_sum,
+    mu,
+    pi,
+)
+from regover.qseries import pk
 
 from expansion_oracle import (
     a_hat,
     check_admissibility,
     delta4,
+    invariants,
     positive_classes,
     truncated_expansion,
 )
+from qseries_oracle import EtaQuotientSpec, build_spec
 
 KS = list(range(2, 10))
 
@@ -157,6 +165,29 @@ class TestMainTerm:
         ).sqrt()
         ratio = printed / true
         assert ratio.contains(self.COUNTS[k]), (float(ratio.lo), float(ratio.hi))
+
+    GRID = [1, 7, 600, 1500, 5000, 50000]
+
+    @staticmethod
+    def invariant_inner(k, n):
+        """Delta4(1)^2 Delta3(1) / (24 n + Delta2) from the invariants."""
+        inv = invariants(build_spec(k))
+        return inv.delta4_sq[1] * inv.delta3[1] / (24 * n + inv.delta2)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_closed_form_is_the_invariant_form(self, k):
+        # main_term's (k-1)/(16 k^2 n) is the same Fraction
+        for n in self.GRID:
+            assert Fraction(k - 1, 16 * k * k * n) == self.invariant_inner(k, n)
+
+    @pytest.mark.parametrize("bits", [96, 192, 768])
+    def test_enclosure_is_the_invariant_form(self, bits):
+        # the same inner Fraction gives the same enclosure, endpoint for endpoint
+        for k in KS:
+            for n in self.GRID:
+                inner = Interval.from_exact(self.invariant_inner(k, n), bits)
+                ref = 2 * pi(bits) * inner.sqrt() * bessel_i1(mu(k, n, bits).value)
+                assert main_term(k, n, bits)._val == ref._val, (k, n)
 
     def test_relative_error_at_1000(self):
         exact = pk(2, 1000)

@@ -937,8 +937,8 @@ class TestImportFootprint:
         [
             (
                 ["count", "--k", "2", "--n", "10"],
-                ["mpmath", "csv", "regover.numerics", "regover.chern",
-                 "regover.combinatorics", "regover.inequalities"],
+                ["mpmath", "csv", "dataclasses", "regover.numerics",
+                 "regover.chern", "regover.combinatorics", "regover.inequalities"],
             ),
             (
                 ["lemmas", "--id", "2.2", "--k", "3", "--a-max", "3"],

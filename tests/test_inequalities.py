@@ -24,12 +24,13 @@ from regover.inequalities import (
     verify_q_containment,
     _subadd_exceptions,
 )
-from regover.chern import invariants
 from regover.numerics import MAX_PRECISION, Interval, PrecisionExhausted, certify
-from regover.qseries import build_spec, pk, warm_cache
+from regover.qseries import pk, warm_cache
 
 from conftest import SUBADD_COUNTEREXAMPLES
+from expansion_oracle import invariants
 from q_bounds_oracle import q_bounds_oracle
+from qseries_oracle import build_spec
 
 KS = list(range(2, 10))
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
 
-from regover.chern import invariants, main_term
+from regover.chern import main_term
 from regover.numerics import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -30,9 +30,9 @@ from regover.numerics import (
     mu,
     pi,
 )
-from regover.qseries import build_spec
 
-from expansion_oracle import bessel_i1_bracket, e_i
+from expansion_oracle import bessel_i1_bracket, e_i, invariants
+from qseries_oracle import build_spec
 
 
 def iv(x, prec=192):
@@ -79,6 +79,9 @@ class TestIntervalBasics:
     def test_sqrt_exact_square(self):
         assert iv(4).sqrt().contains(2)
         assert iv(4).sqrt().width == 0
+        # a lower end of exactly 0, also as the negation or product of zeros
+        for x in (Interval.from_endpoints(0, 4), -iv(0), iv(-1) * 0):
+            assert x.sqrt().lo == 0
 
     def test_exp_one(self):
         e = iv(1).exp()
@@ -132,6 +135,8 @@ class TestIntervalBasics:
     def test_sqrt_negative_rejected(self):
         with pytest.raises(NumericsError):
             iv(-1).sqrt()
+        with pytest.raises(NumericsError, match="negative lo"):
+            Interval.from_endpoints(Fraction(-1, 2**300), 1).sqrt()
 
     def test_to_string_outward(self):
         s = iv(Fraction(1, 3)).to_string(5)

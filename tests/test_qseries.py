@@ -12,16 +12,11 @@ import pytest
 
 from regover import qseries
 
-from regover.qseries import (
-    EtaQuotientSpec,
-    SeriesError,
-    build_spec,
-    pk,
-    pk_series,
-    warm_cache,
-)
+from regover.qseries import SeriesError, pk, pk_series, warm_cache
 
 from qseries_oracle import (
+    EtaQuotientSpec,
+    build_spec,
     euler_series,
     eta_quotient_series,
     series_invert,

@@ -1,5 +1,5 @@
-"""The public surface: every public name has a caller, and README's library
-example runs as written."""
+"""The public surface: every public name has a caller, every import is
+used, and README's library example runs as written."""
 
 import ast
 import re
@@ -51,6 +51,36 @@ def _uncalled() -> dict[str, str]:
 def test_every_public_name_has_a_caller():
     # a public name without a caller is deleted, or moves to the tests
     assert _uncalled() == {}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that a module imports and never references, except for
+    ``from __future__`` and imports marked ``# noqa: F401`` (re-exports)."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_every_import_is_used():
+    # no linter runs here: a name left imported after its last use moved
+    # out of a module is caught by this scan instead
+    unused = [entry for path in sorted(SRC.glob("*.py"))
+              for entry in _unused_imports(path)]
+    assert unused == []
 
 
 def test_readme_library_example_runs():
