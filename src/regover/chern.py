@@ -65,7 +65,8 @@ def _check_k(k: int) -> None:
 
 def _require_mu(k: int, n: int, threshold: int, precision: int) -> Interval:
     m = mu(k, n, precision).value
-    if m.lo < threshold:
+    # floor(lo) < threshold iff lo < threshold, for an integer threshold
+    if m.scaled(0)[0] < threshold:
         raise ChernError(
             f"mu_{k}({n}) = {m.to_string(8)} below validity threshold {threshold}"
         )
@@ -177,7 +178,7 @@ def estimate(k: int, n: int, precision: int = DEFAULT_PRECISION) -> AsymptoticEs
     _check_k(k)
     m = mu(k, n, precision).value
     exact = pk(k, n)
-    if m.lo < N_K[k]:
+    if m.scaled(0)[0] < N_K[k]:
         main = main_term(k, n, precision)
         return AsymptoticEstimate(k, n, m, main, None, exact, None)
     main, remainder, lower, upper = _theorem_bracket(k, n, precision)

@@ -36,9 +36,10 @@ of every mapped lemma for its weight (the sum of its part sizes), codomain
 membership and distinctness.  A part tuple of weight w lies in a constraint's
 set iff each of its parts is one of the (size, overline) pairs that
 :meth:`Constraint.allowed_parts` gives for w, a set built once per grid
-point.  :func:`count_overpartitions` recounts every domain by its own walk
-over partitions, which shares nothing with the enumeration or the q-series;
-its memo is kept per constraint across calls.
+point.  :func:`count_overpartitions` recounts every domain from the
+generating function, a product of one factor per allowed size, expanded
+coefficient by coefficient; it shares nothing with the enumeration or the
+q-series, and its expansions are cached per constraint across calls.
 
 Each lemma is declared once, in ``_LEMMAS``: its fixed b, map body and
 witness shape, and one predicate gives lemma 2.4's range to both
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
 
@@ -154,50 +155,39 @@ def enumerate_overpartitions(
 
 
 def count_overpartitions(n: int, constraint: Constraint = Constraint()) -> int:
-    """Count by brute-force partition enumeration, independent of the q-series.
+    """Count by the product formula, independent of the q-series and of the
+    enumeration.
 
-    Walks all restricted partitions (no overlines) and multiplies the number
-    of admissible overline choices per distinct size: 2 normally; if the
-    non-overlined copies of a size are forbidden, only the single-overlined
-    configuration survives.  The walk's memo, keyed by (weight left, largest
-    size allowed), is independent of n, so each constraint keeps one memo
-    for all calls, and the counts of a lemma grid reuse each other's
-    subtotals.
+    The overpartitions a constraint allows have the generating function
+    prod (1 + q^s) / (1 - q^s) over the sizes s it allows: a size with plain
+    copies occurs m >= 1 times in 2 ways, its first copy overlined or not.
+    Where the plain copies of s are forbidden, a single overlined s is the
+    only choice, and the factor is 1 + q^s.  Coefficient n is read from the
+    expansion to the next power of two above n, cached per constraint and
+    length, so the counts of a lemma grid share a few short expansions.
     """
     if n < 0:
         raise OverpartitionError(f"n must be >= 0, got {n}")
-    return _count_walk(constraint)(n, n)
+    return _coefficients(constraint, 1 << n.bit_length())[n]
 
 
-# Unbounded: the lemma grids use at most 4 constraints per k, and a memo
-# filled up to weight n holds at most n^2 entries.
+# Unbounded: the lemma grids use at most 4 constraints per k, and the
+# expansions of one constraint, of lengths 1, 2, 4, ..., add up to less
+# than twice its longest.
 @lru_cache(maxsize=None)
-def _count_walk(constraint: Constraint) -> Callable[[int, int], int]:
-    memo: dict[tuple[int, int], int] = {}
-
-    def walk(remaining: int, max_size: int) -> int:
-        if remaining == 0:
-            return 1
-        key = (remaining, max_size)
-        if key in memo:
-            return memo[key]
-        total = 0
-        for s in range(min(remaining, max_size), 0, -1):
-            if not constraint.allows_size(s):
-                continue
-            plain_ok = constraint.allows_plain(s)
-            for mult in range(1, remaining // s + 1):
-                if plain_ok:
-                    choices = 2
-                elif mult == 1:
-                    choices = 1  # single overlined copy only
-                else:
-                    break
-                total += choices * walk(remaining - s * mult, s - 1)
-        memo[key] = total
-        return total
-
-    return walk
+def _coefficients(constraint: Constraint, length: int) -> tuple[int, ...]:
+    """The first ``length`` coefficients of the constraint's product."""
+    c = [1] + [0] * (length - 1)
+    for s in range(1, length):
+        if not constraint.allows_size(s):
+            continue
+        c[s:] = map(add, c[s:], c[:-s])  # times 1 + q^s
+        if constraint.allows_plain(s):
+            # divided by 1 - q^s: each block of s coefficients adds the
+            # block before it, already divided
+            for j in range(s, length, s):
+                c[j : j + s] = map(add, c[j : j + s], c[j - s : j])
+    return tuple(c)
 
 
 def _split_trailing_ones(parts: Parts):

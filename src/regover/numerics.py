@@ -330,10 +330,6 @@ class Interval:
         lo, hi = self._val
         return _scaled(lo, bits, False), _scaled(hi, bits, True)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def __repr__(self) -> str:
         return f"Interval{self.to_string()}@{self.precision}"
 
@@ -402,8 +398,19 @@ class Interval:
         return self._unary(lambda s, p: (_root(s[0], p, False), _root(s[1], p, True)))
 
     def exp(self) -> "Interval":
-        if self.hi > _MAX_EXP_ARG or self.lo < _MIN_EXP_ARG:
-            raise NumericsError(f"exp argument out of guarded range: {self!r}")
+        # a raw endpoint (sign, man, exp, bc) is at least 2^(exp + bc - 1) in
+        # size: past 2^30, beyond both bounds, its sign decides, and as lo <=
+        # hi only endpoints below 2^30 are left to read as integers
+        lo, hi = self._val
+        if (
+            (hi[2] + hi[3] > 30 and not hi[0])
+            or (lo[2] + lo[3] > 30 and lo[0])
+            or _scaled(hi, 0, True) > _MAX_EXP_ARG
+            or _scaled(lo, 0, False) < _MIN_EXP_ARG
+        ):
+            raise NumericsError(
+                f"exp argument out of guarded range [{_MIN_EXP_ARG}, {_MAX_EXP_ARG}]"
+            )
         return self._unary(lambda s, p: (_exp1(s[0], p, False), _exp1(s[1], p, True)))
 
     # cos and sin, which nothing in the package calls, keep mpmath's kernels:
@@ -416,15 +423,6 @@ class Interval:
     def sin(self) -> "Interval":
         from mpmath.libmp import libmpi
         return self._unary(libmpi.mpi_sin)
-
-    # -- predicates ---------------------------------------------------
-
-    def contains(self, value: Exactable) -> bool:
-        frac = Fraction(value)
-        return self.lo <= frac <= self.hi
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     # -- serialization ------------------------------------------------
 

@@ -130,7 +130,7 @@ def a_hat(kk, n, spec, precision=DEFAULT_PRECISION) -> Interval:
         arg = p * t
         real = real + arg.cos()
         imag = imag + arg.sin()
-    if not imag.contains(0):
+    if not imag.lo <= 0 <= imag.hi:
         raise ChernError(
             f"imaginary part of A-hat_{kk}({n}) does not enclose 0: {imag!r}"
         )

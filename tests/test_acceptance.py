@@ -344,7 +344,8 @@ def test_criterion_8_numerics_properties():
             lambda v: v.exp() if x < 50 else v + 1,
             lambda v: (v * v + 3) / (v + 1),
         ):
-            if not op(coarse).encloses(op(fine)):
+            outer, inner = op(coarse), op(fine)
+            if not (outer.lo <= inner.lo and inner.hi <= outer.hi):
                 failures.append(("refinement", x))
 
     _verdict(8, "interval and number-theory soundness", failures, started, 120)

@@ -164,7 +164,7 @@ class TestMainTerm:
             inv.delta4_sq[1] * inv.delta3[1] / Fraction(24 * n)
         ).sqrt()
         ratio = printed / true
-        assert ratio.contains(self.COUNTS[k]), (float(ratio.lo), float(ratio.hi))
+        assert ratio.lo <= self.COUNTS[k] <= ratio.hi, (float(ratio.lo), float(ratio.hi))
 
     GRID = [1, 7, 600, 1500, 5000, 50000]
 
@@ -214,6 +214,27 @@ class TestRemainderBound:
     def test_thresholds_table(self):
         assert [N_K[k] for k in KS] == [22, 49, 41, 58, 130, 102, 129, 268]
         assert [NDOT_K[k] for k in KS] == [43, 49, 43, 58, 130, 102, 129, 268]
+
+    @pytest.mark.parametrize("k", KS)
+    def test_thresholds_decided_at_the_first_valid_n(self, k):
+        # the guards compare floor(mu.lo) with the integer threshold; the
+        # exact lower end decides the first valid n here
+        def first_valid(threshold):
+            n = math.ceil(threshold**2 * k / (math.pi**2 * (k - 1)))
+            while mu(k, n).value.lo >= threshold:
+                n -= 1
+            while mu(k, n).value.lo < threshold:
+                n += 1
+            return n
+
+        for thresholds, bounds in ((N_K, remainder_bound), (NDOT_K, pk_bounds)):
+            n = first_valid(thresholds[k])
+            bounds(k, n)
+            with pytest.raises(ChernError, match="below validity threshold"):
+                bounds(k, n - 1)
+        n = first_valid(N_K[k])
+        assert estimate(k, n).remainder is not None
+        assert estimate(k, n - 1).remainder is None
 
     def test_exponential_rates(self):
         # k=2 grows like exp(mu/3), k=3 like exp(mu/5): check by ratios

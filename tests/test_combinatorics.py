@@ -11,7 +11,7 @@ from regover.combinatorics import (
     Constraint,
     OverpartitionError,
     UnsupportedCaseError,
-    _count_walk,
+    _coefficients,
     _f1_parts,
     _f2_parts,
     _f3_parts,
@@ -21,7 +21,7 @@ from regover.combinatorics import (
     lemma_grid,
     verify_lemma,
 )
-from regover.qseries import pk
+from regover.qseries import overpartitions, pk
 
 from combinatorics_oracle import enumerate_overpartitions_oracle
 from conftest import lemma_holds, no_witness
@@ -90,11 +90,14 @@ class TestEnumeration:
         ):
             assert count_overpartitions(n, c) == len(enumerate_overpartitions(n, c))
 
-    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("k", [None] + KS)
     def test_counts_agree_with_series(self, k):
+        # n <= 1024 crosses every segment edge k J^2 <= 1024 of the theta
+        # tables, and the product expansion shares no code with them
+        ns = range(1025)
+        series = overpartitions(1024) if k is None else [pk(k, n) for n in ns]
         c = Constraint(k_regular=k)
-        for n in range(26):
-            assert count_overpartitions(n, c) == pk(k, n)
+        assert [count_overpartitions(n, c) for n in ns] == series[:1025]
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_removal_identities(self, k):
@@ -282,8 +285,8 @@ class TestImageChecks:
 
 
 class TestCountMemo:
-    # count_overpartitions keeps one memo per constraint across calls; its
-    # answers must not depend on the order of the calls that filled it
+    # count_overpartitions keeps its expansions per constraint across calls;
+    # its answers must not depend on the order of the calls that filled them
     N_MAX = 18
     CONSTRAINTS = [
         Constraint(k, no1, no2)
@@ -309,7 +312,7 @@ class TestCountMemo:
         else:
             calls = list(expected)
             random.Random(12).shuffle(calls)
-        _count_walk.cache_clear()
+        _coefficients.cache_clear()
         for c, n in calls:
             assert count_overpartitions(n, c) == expected[c, n], (c, n)
 

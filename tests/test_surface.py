@@ -10,46 +10,64 @@ SRC = ROOT / "src" / "regover"
 BENCH = ROOT / "bench"
 
 
-def _references(tree: ast.Module) -> list[tuple[str, int]]:
-    """(name, line) of every Name, Attribute and imported name in a module."""
+def _references(tree: ast.Module) -> list[tuple[str, int, bool]]:
+    """(name, line, is_attribute) of every Name, Attribute and imported name
+    in a module."""
     refs = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.append((node.id, node.lineno))
+            refs.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            refs.append((node.attr, node.lineno))
+            refs.append((node.attr, node.lineno, True))
         elif isinstance(node, ast.ImportFrom):
-            refs.extend((alias.name, node.lineno) for alias in node.names)
+            refs.extend((alias.name, node.lineno, False) for alias in node.names)
     return refs
 
 
+def _public_defs(tree: ast.Module):
+    """(qualified name, node, member) of each public top-level def or class,
+    and of each public method or property of a top-level class (member)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item, True
+
+
 def _uncalled() -> dict[str, str]:
-    """Each top-level public def or class in src/regover that nothing in
-    src/ references outside its own body and bench/ does not name, mapped
-    to where it is defined."""
+    """Each public top-level def or class in src/regover that nothing in
+    src/ references outside its own body, and each public method or
+    property of a top-level class that src/ never reads as ``.name``
+    outside its own body, if bench/ does not name it either; mapped to
+    where it is defined."""
     trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     refs = {path: _references(tree) for path, tree in trees.items()}
     bench_text = "\n".join(p.read_text() for p in sorted(BENCH.rglob("*.py")))
     uncalled = {}
     for path, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) or node.name.startswith("_"):
-                continue
+        for qualname, node, member in _public_defs(tree):
             own = range(node.lineno, node.end_lineno + 1)
             called = any(
-                name == node.name and (other != path or line not in own)
+                name == node.name
+                and (attribute or not member)
+                and (other != path or line not in own)
                 for other, other_refs in refs.items()
-                for name, line in other_refs
+                for name, line, attribute in other_refs
             )
             if not called and not re.search(rf"\b{node.name}\b", bench_text):
-                uncalled[node.name] = f"{path.name}:{node.lineno}"
+                uncalled[qualname] = f"{path.name}:{node.lineno}"
     return uncalled
 
 
 def test_every_public_name_has_a_caller():
-    # a public name without a caller is deleted, or moves to the tests
+    # a public name or member without a caller is deleted, or moves to the
+    # tests
     assert _uncalled() == {}
 
 
