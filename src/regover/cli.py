@@ -13,15 +13,8 @@ library at its default of 192 bits, and :func:`regover.numerics.certify`
 doubles the precision of an undecided comparison up to 768 bits.  Nothing
 is read from the environment.
 
-``count --n-max`` and ``lemmas`` cut their k range in two where the cost
-before the cut comes closest to half: the parent runs the first half and
-one forked child the second (see the worker section below).  Both run in
-one process where only one CPU is usable or os.fork fails, and the output
-is the same either way; ``count --n`` always runs in one, since its few
-short sums gain nothing from a child.  ``verify``, ``asym`` and ``lemmas``
-accept ``--jobs`` (a value below 1 exits 2), but no command reads it:
-``verify`` and ``asym`` run in one process, since forking their sweeps
-gained nothing measurable.
+Every command runs in one process.  ``verify``, ``asym`` and ``lemmas``
+accept ``--jobs`` (a value below 1 exits 2), but no command reads it.
 
 Inputs that would exhaust time or memory fail early with exit 2, before
 any table is built.  Each bounded integer option is a ``click.IntRange``
@@ -32,29 +25,24 @@ that carries its limit, and ``--help`` shows each range: ``count
 
 Imports: this module loads only click, :mod:`json`,
 :mod:`regover.qseries` and :mod:`regover.precision` (the numeric
-exceptions) at import time, besides ``os``, ``sys``,
-:mod:`contextlib`, :mod:`itertools` and :mod:`operator`, which are loaded
-already.  Each subcommand imports the layers it runs, and the exceptions it
-catches, inside its own body, so a process pays only for what it runs:
-``count`` needs only :mod:`string` more, to parse its row template,
+exceptions) at import time, besides ``sys``, :mod:`itertools` and
+:mod:`operator`, which are loaded already.  Each subcommand imports the
+layers it runs, and the exceptions it catches, inside its own body, so a
+process pays only for what it runs: ``count`` needs only :mod:`string`
+more, to parse its row template,
 ``lemmas`` loads :mod:`regover.combinatorics`, ``verify``
 :mod:`regover.inequalities` (``verify qbounds`` also
 :mod:`regover.numerics`), and ``asym`` :mod:`regover.chern` and
 :mod:`regover.numerics`.  :mod:`csv` is loaded only where :func:`_emit`
 writes csv rows, which ``count`` and ``verify qbounds`` never do.  No
 command loads mpmath: the interval kernels in :mod:`regover.numerics` are
-integer code.  The worker helpers import ``threading``, which click has
-loaded already, and :mod:`signal` only to kill a child left running;
-``lemmas`` imports :mod:`pickle` only when it forks.  Keep new imports
-inside the commands.
+integer code.  Keep new imports inside the commands.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-from contextlib import contextmanager
 from itertools import repeat
 from operator import add
 
@@ -70,13 +58,10 @@ K_MIN, K_MAX = 2, 9
 
 # Resource ceilings.  Measured on a 2-core host (Intel Xeon, Python 3.11),
 # all with ``--k 2..9 --output csv`` and start-up, memory as the peak RSS
-# (``RUSAGE_CHILDREN``) seen by a small Python parent; ``count`` and
-# ``lemmas`` in their default two processes and in one (``taskset -c 0``):
-#   * ``count --n-max 50000`` takes 1.7–1.9 s and 80–81 MB, the child's,
-#     which holds its five k's tables; in one process, which builds each k's
-#     table just before its rows, 2.4–2.5 s and 64–65 MB.  ``count --n
-#     50000`` builds no k table: 0.5 s and 23 MB, nearly all the shared pbar
-#     table.
+# (``RUSAGE_CHILDREN``) seen by a small Python parent:
+#   * ``count --n-max 50000`` takes 2.6–3.8 s and 63–64 MB, since it builds
+#     each k's table just before its rows.  ``count --n 50000`` builds no k
+#     table: 0.5–0.8 s and 23 MB, nearly all the shared pbar table.
 #   * ``verify logconcave --horizon 50000`` takes 2.2–2.3 s, ``turan3``
 #     3.6–4.6 s and ``subadd`` 2.2–2.4 s (about horizon/2 checks per k, in
 #     0.1 s), each 38 MB, since a scan frees its k table when it ends.
@@ -84,14 +69,12 @@ K_MIN, K_MAX = 2, 9
 #     written as they are decided) takes 25 s and 38 MB, since warm_cache
 #     keeps one k's table at a time.
 #   * ``asym --n-min 50000 --n-max 50000`` takes 0.5–0.8 s and 25 MB.
-#   * ``lemmas --id 2.3 --a-max 26`` takes 1.3–1.7 s, with 35 MB in the parent
-#     and 40 MB in the child; in one process 2.0–2.5 s and 43 MB.  Each step
+#   * ``lemmas --id 2.3 --a-max 26`` takes 1.6–2.2 s and 43 MB.  Each step
 #     of a multiplies its time by about 1.3 and its memory by about 1.15.
 #     Mapping and checking each image takes most of it, enumerating the
 #     domains about a fifth.
-#   * ``lemmas --id 2.1 --total-max 22`` takes 1.0 s, with 20 MB in the
-#     parent and 16 MB in the child; in one process 1.2 s and 20 MB.
-#     Each step of total-max multiplies the time by about 1.3.
+#   * ``lemmas --id 2.1 --total-max 22`` takes 1.0–1.3 s and 21 MB.  Each
+#     step of total-max multiplies the time by about 1.3.
 N_MAX_CEILING = 50_000
 A_MAX_CEILING = 26
 TOTAL_MAX_CEILING = 22
@@ -171,116 +154,6 @@ def _formats(columns: dict[str, int], output: str, quoted=()) -> tuple[str, ...]
     return head, "  ".join([f"{{:<{w}}}" for w in widths.values()]) + "\n", "", ""
 
 
-# -- worker processes --------------------------------------------------------
-#
-# ``count --n-max`` and ``lemmas`` cut their k range in two where the cost
-# before the cut comes closest to half.  The parent runs the first half and writes as it
-# goes; the second runs in a child forked with os.fork, which starts from the
-# parent's tables.  multiprocessing costs about 21 ms to import, and a spawned
-# child would import everything again and rebuild the shared pbar table.  Two
-# processes is the widest setting measured, on a 2-core host.
-#
-# The child does its half's heavy work before it writes, since it would
-# otherwise wait on the pipe while the parent is busy with its own half.  It
-# then sends b"+" and streams its output, or sends b"-" and the error, and
-# leaves by os._exit, so it never returns into the parent's stack nor flushes
-# the parent's buffers.
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _halves(units: list, cost) -> tuple[list, list]:
-    """Cut ``units`` in two, in order, where the ``cost`` of the units before
-    the cut comes closest to half of the total.
-
-    The second half is empty for one unit, where one CPU is usable, where
-    os.fork is missing or where another thread runs: a forked child would
-    inherit that thread's locks in whatever state they were.
-    """
-    import threading
-
-    forkable = threading.active_count() == 1 and hasattr(os, "fork")
-    if not forkable or min(len(units), _cpu_count()) < 2:
-        return units, []
-    costs = [cost(u) for u in units]
-    total = sum(costs)
-    cut = min(range(1, len(units)), key=lambda c: abs(sum(costs[:c]) - total / 2))
-    return units[:cut], units[cut:]
-
-
-@contextmanager
-def _forked(share: list, work):
-    """Fork one child to send the bytes of ``work(share)``, unless ``share``
-    is empty; yield an iterator over the chunks it sends (empty without one).
-    Where os.fork fails, the iterator runs ``work(share)`` in this process
-    when it is first read, so after the caller's own half.
-
-    ``work`` does its heavy part before it returns an iterable of bytes; an
-    error raised later only sets the child's exit status.  The iterator waits
-    for the child when it ends and raises RuntimeError if the child failed.
-    On every way out, a child still running is killed and waited for.
-    """
-    if not share:
-        yield iter(())
-        return
-    out_r, out_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare (EAGAIN, ENOMEM): run the share here
-        os.close(out_r)
-        os.close(out_w)
-        pid = None
-    if pid is None:
-        # map is lazy: work starts when the caller reads, after its own half
-        yield (chunk for chunks in map(work, [share]) for chunk in chunks)
-        return
-    if pid == 0:  # the child: never returns
-        status = 1
-        try:
-            os.close(out_r)
-            with open(out_w, "wb") as out:
-                try:
-                    blocks = work(share)
-                except Exception as exc:
-                    out.write(b"-" + f"{type(exc).__name__}: {exc}".encode())
-                else:
-                    out.write(b"+")
-                    out.writelines(blocks)
-                    status = 0
-        finally:
-            os._exit(status)
-    os.close(out_w)
-    running = [pid]  # emptied once the child is waited for
-
-    def chunks(pipe):
-        def fail(why):
-            raise RuntimeError(f"worker for k in {share} failed: {why}")
-
-        if pipe.read(1) != b"+":
-            fail(pipe.read().decode(errors="replace") or "no output")
-        while chunk := pipe.read1(1 << 16):
-            yield chunk
-        _, status = os.waitpid(running.pop(), 0)
-        if code := os.waitstatus_to_exitcode(status):
-            fail(f"exit status {code}")
-
-    try:
-        with open(out_r, "rb") as pipe:
-            yield chunks(pipe)
-    finally:
-        if running:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def _row_parts(row: str) -> tuple[list[str], list[str]]:
     """The literal texts around the fields of a :func:`_formats` row template,
     one more than there are fields, and the fields' format specs."""
@@ -295,20 +168,18 @@ def _row_parts(row: str) -> tuple[list[str], list[str]]:
     return texts, specs
 
 
-def _count_blocks(columns, layout: tuple, n_cells: list[str], first: bool):
+def _count_blocks(columns, layout: tuple, n_cells: list[str]):
     """Yield ``count``'s rows for the (k, counts) pairs of ``columns`` as
     blocks of text, a few per k; each pair is read just before its blocks, so
     a generator holds one k's counts at a time.
 
     ``n_cells`` is the n column that every k shares: for each row, its n cell
-    and the text up to its count cell.  Together the blocks of both halves,
-    and then the ``layout``'s tail, are the bytes :func:`_emit` gives for the
-    rows ``{"k": k, "n": n, "count": str(count)}``.  The ``first`` half also
-    yields the layout's head.
+    and the text up to its count cell.  Together the blocks are the bytes
+    :func:`_emit` gives for the rows ``{"k": k, "n": n, "count": str(count)}``.
     """
-    head, row, sep, _ = layout
+    head, row, sep, tail = layout
     (before_k, before_n, _, end), (k_spec, _, count_spec) = _row_parts(row)
-    lead = head if first else sep
+    lead = head
     for k, counts in columns:
         start = before_k + format(k, k_spec) + before_n
         cells = map(format, counts, repeat(count_spec))
@@ -316,20 +187,16 @@ def _count_blocks(columns, layout: tuple, n_cells: list[str], first: bool):
         yield (end + sep + start).join(map(add, n_cells, cells))
         yield end
         lead = sep
+    yield tail
 
 
 def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
-    """Write ``count``'s rows, with a range's k range cut in two processes.
+    """Write ``count``'s rows.
 
     The counts at n_hi give the widths, and for a single n they are the
-    rows, written by this process without any k table.  For a range the
-    parent builds each k's table just before its blocks, and the child its
-    whole share first, so it never waits on the pipe.  The widths build the
-    shared pbar table before the fork, so the child starts from it, and from
-    the n column; a k's own table costs about sqrt(n_hi / k) shifted copies.
+    rows, written without any k table.  For a range each k's table is built
+    just before its blocks, so one k table is held at a time.
     """
-    from math import sqrt
-
     # k is one digit.  pbar_k(n) never decreases in n (adding a part 1 is
     # injective), so each column's widest cell is that of its last row.
     last = {k: pk(k, n_hi) for k in ks}
@@ -338,29 +205,11 @@ def _write_counts(ks: list[int], n_lo: int, n_hi: int, output: str) -> None:
     (_, _, before_count, _), (_, n_spec, _) = _row_parts(layout[1])
     n_cells = [format(n, n_spec) + before_count for n in range(n_lo, n_hi + 1)]
 
-    def columns(share):
-        if n_lo == n_hi:
-            return ((k, [last[k]]) for k in share)
-        return ((k, pk_series(k, n_hi)) for k in share)
-
     if n_lo == n_hi:
-        first, second = ks, []
+        columns = ((k, [last[k]]) for k in ks)
     else:
-        first, second = _halves(ks, lambda k: sqrt(n_hi / k))
-
-    def work(share):
-        built = list(columns(share))
-        blocks = _count_blocks(built, layout, n_cells, False)
-        return (block.encode() for block in blocks)
-
-    write = sys.stdout.write
-    with _forked(second, work) as chunks:
-        for block in _count_blocks(columns(first), layout, n_cells, True):
-            write(block)
-        # the child's chunks are ascii already: pass them through as bytes
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(chunks)
-    write(layout[3])
+        columns = ((k, pk_series(k, n_hi)) for k in ks)
+    sys.stdout.writelines(_count_blocks(columns, layout, n_cells))
 
 
 def _write_qbounds(horizons: dict[int, int], output: str) -> bool:
@@ -412,8 +261,7 @@ _JOBS = click.option(
     type=click.IntRange(min=1),
     default=None,
     expose_value=False,
-    help="At least 1, and read by no command: lemmas runs in 2 processes (1 "
-    "where only one CPU is usable), verify and asym in 1.",
+    help="At least 1, and read by no command: every command runs in one process.",
 )
 
 
@@ -581,41 +429,14 @@ def lemmas(
 ) -> None:
     """Exhaustive splitting-lemma verification over a grid; exit 0 iff
     every grid point holds (and is injective where a map is checked)."""
-    from .combinatorics import (
-        Constraint,
-        OverpartitionError,
-        count_overpartitions,
-        lemma_grid,
-        verify_lemma,
-    )
-
-    def share_reports(share: list[int]) -> list:
-        return [
-            verify_lemma(lemma_id, k, a, b)
-            for k in share
-            for a, b in lemma_grid(lemma_id, k, a_max, total_max)
-        ]
-
-    def cost(k: int) -> int:
-        # about that of enumerating the overpartitions of the k's grid
-        no2 = Constraint(k_regular=k, forbid_twos=True)
-        return sum(
-            count_overpartitions(a + b, no2)
-            for a, b in lemma_grid(lemma_id, k, a_max, total_max)
-        )
-
-    def work(share):
-        return [pickle.dumps(share_reports(share))]
+    from .combinatorics import OverpartitionError, lemma_grid, verify_lemma
 
     try:
-        first, second = _halves(ks, cost)
-        if second:
-            import pickle
-        with _forked(second, work) as chunks:
-            reports = share_reports(first)
-            if second:
-                # bytes from a pipe only this program's own child writes to
-                reports += pickle.loads(b"".join(chunks))
+        reports = [
+            verify_lemma(lemma_id, k, a, b)
+            for k in ks
+            for a, b in lemma_grid(lemma_id, k, a_max, total_max)
+        ]
     except OverpartitionError as exc:
         raise click.UsageError(str(exc))
     if any(rep.mode != "map" for rep in reports):

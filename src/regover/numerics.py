@@ -393,8 +393,14 @@ class Interval:
         return self._unary(_pow, exponent)
 
     def sqrt(self) -> "Interval":
-        if self._val[0][0]:  # the sign bit of lo; zero is always _ZERO
-            raise NumericsError(f"sqrt of interval with negative lo: {self!r}")
+        sign, man, exp, _ = self._val[0]
+        if sign:  # the sign bit of lo; zero is always _ZERO
+            # lo is -man * 2^exp: named raw, since its decimal digits would
+            # grow with exp
+            raise NumericsError(
+                f"sqrt of interval with negative lo -{man}*2^{exp} "
+                f"at precision {self.precision}"
+            )
         return self._unary(lambda s, p: (_root(s[0], p, False), _root(s[1], p, True)))
 
     def exp(self) -> "Interval":

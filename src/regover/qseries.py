@@ -100,9 +100,7 @@ def pk_series(k: int, order: int) -> tuple[int, ...]:
 # warm_cache's k table: at most one, that of the k it was last asked to
 # grow, to the order it was asked for; warm_cache is its only writer.
 # Callers run in one thread, so neither this cache nor the shared pbar table
-# takes a lock; completed tuples are immutable.  A worker process forked by
-# the CLI starts from the parent's tables and grows private copies of both,
-# which the parent never sees.
+# takes a lock; completed tuples are immutable.
 _CACHE: dict[int, tuple[int, ...]] = {}
 
 

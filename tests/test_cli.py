@@ -1,17 +1,13 @@
 """CLI contract: subcommands, output formats, exit codes, determinism."""
 
 import csv
-import errno
 import hashlib
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
-import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -113,8 +109,10 @@ class TestCount:
             (["--k", "2..9", "--n-max", "300"], range(2, 10), range(301)),
             (["--k", "5", "--n-max", "0"], [5], [0]),
             (["--k", "2..3", "--n", "7"], [2, 3], [7]),
+            # about 240 KB of rows per k, in many blocks
+            (["--k", "2..9", "--n-max", "3000"], range(2, 10), range(3001)),
         ],
-        ids=["k2-9-n300", "k5-n0", "k2-3-n7"],
+        ids=["k2-9-n300", "k5-n0", "k2-3-n7", "k2-9-n3000"],
     )
     def test_rows_match_reference_renderer(self, runner, args, ks, ns, output):
         result = runner.invoke(main, ["count", *args, "--output", output])
@@ -486,35 +484,7 @@ class TestLemmas:
         assert digest == self.PINNED[lemma_id, output]
 
 
-@contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in this thread if the block runs ``seconds`` long."""
-
-    def expired(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_child_left():
-    # every forked worker has been waited for: this process has no child
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestJobs:
-    @pytest.fixture
-    def two_cpus(self, monkeypatch):
-        # two processes, one of them forked, whatever this host has
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
-        assert cli._halves(list(range(2, 10)), lambda k: 1)[1]
-
     @pytest.mark.parametrize(
         "args",
         [
@@ -532,113 +502,6 @@ class TestJobs:
         assert one.stdout and one.stdout == four.stdout
         assert one.exit_code == four.exit_code
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            [*count, "--output", output]
-            for count in (
-                ["count", "--k", "2..9", "--n-max", "300"],
-                ["count", "--k", "2..3", "--n-max", "300"],
-                ["count", "--k", "2..9", "--n", "150"],
-                ["count", "--k", "2..3", "--n", "7"],
-                # about 240 KB of rows per k: the child's share takes several
-                # 64 KiB pipe reads
-                ["count", "--k", "2..9", "--n-max", "3000"],
-            )
-            for output in ("csv", "json", "table")
-        ] + [
-            ["lemmas", "--id", "2.1", "--k", "2..9", "--total-max", "10"],
-            ["lemmas", "--id", "2.3", "--k", "2..9", "--a-max", "10", "--output", "json"],
-        ],
-        ids=[
-            f"count-{ks}-{n}-{output}"
-            for ks, n in (
-                ("2-9", "nmax"), ("2-3", "nmax"), ("2-9", "n"), ("2-3", "n"),
-                ("2-9", "nmax3000"),
-            )
-            for output in ("csv", "json", "table")
-        ] + ["lemmas-2.1", "lemmas-2.3"],
-    )
-    def test_same_output_at_every_job_count(self, runner, monkeypatch, two_cpus, args):
-        # one process, two, and two CPUs where os.fork fails: the second half
-        # then runs in the parent, after the first
-        failed_forks = []
-
-        def fork_fails():
-            failed_forks.append(1)
-            raise BlockingIOError(errno.EAGAIN, "planted fork failure")
-
-        results = []
-        with deadline(60):
-            for cpus, fork in ((1, os.fork), (2, os.fork), (2, fork_fails)):
-                monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-                monkeypatch.setattr(os, "fork", fork)
-                results.append(runner.invoke(main, args))
-        assert_no_child_left()
-        # count --n runs in one process and never tries to fork
-        assert failed_forks == ([] if "--n" in args else [1])
-        one = results[0]
-        assert one.stdout
-        if args[0] == "lemmas":
-            assert one.exit_code == 1
-        for other in results[1:]:
-            assert (other.exit_code, other.stdout, other.stderr) == (
-                one.exit_code, one.stdout, one.stderr
-            )
-
-    @pytest.mark.parametrize("output", ["csv", "json", "table"])
-    def test_single_n_counts_in_one_process(
-        self, runner, monkeypatch, two_cpus, output
-    ):
-        # count --n N prints the rows at N of count --n-max N, byte for byte,
-        # without forking even where two CPUs are usable
-        n = 150
-        ranged = runner.invoke(
-            main, ["count", "--k", "2..9", "--n-max", str(n), "--output", output]
-        )
-        assert ranged.exit_code == 0
-
-        def no_fork():
-            raise AssertionError("forked for a single n")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        single = runner.invoke(
-            main, ["count", "--k", "2..9", "--n", str(n), "--output", output]
-        )
-        assert single.exit_code == 0, single.exception
-        if output == "json":
-            at_n = [row for row in json.loads(ranged.stdout) if row["n"] == n]
-            assert single.stdout == json.dumps(at_n) + "\n"
-        else:
-            head, *lines = ranged.stdout.splitlines(keepends=True)
-            at_n = [
-                line for line in lines
-                if line.replace(",", " ").split()[1] == str(n)
-            ]
-            assert len(at_n) == 8
-            assert single.stdout == head + "".join(at_n)
-
-    def test_lemma_notice_at_every_job_count(self, runner, monkeypatch, two_cpus):
-        args = ["lemmas", "--id", "2.1", "--k", "2..9", "--total-max", "10"]
-        for cpus in (1, 2):
-            monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-            result = runner.invoke(main, args)
-            assert result.exit_code == 1
-            assert "cardinality only" in result.stderr
-
-    def test_jobs_selects_nothing(self, runner, monkeypatch):
-        # one process by default, and --jobs 3 does not start a second
-        def no_fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
-        monkeypatch.setattr(os, "fork", no_fork)
-        args = ["lemmas", "--id", "2.2", "--k", "2..9", "--a-max", "6"]
-        result = runner.invoke(main, args + ["--jobs", "3"])
-        # exit 1 is lemma 2.2's known exception at k = 2, a = 2
-        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-        assert result.stdout == runner.invoke(main, args).stdout
-
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize(
         "args",
@@ -654,147 +517,27 @@ class TestJobs:
         assert result.exit_code == 2
         assert "--jobs" in result.stderr and result.stdout == ""
 
-    def test_halves_cut_where_the_cost_before_is_closest_to_half(self, two_cpus):
-        # only the cut is worked out: no process is started here
-        ks = list(range(2, 10))
-        assert cli._halves(ks, lambda k: 1) == ([2, 3, 4, 5], [6, 7, 8, 9])
-        assert cli._halves(ks, lambda k: 7 if k == 2 else 1) == ([2], ks[1:])
-        assert cli._halves(ks, lambda k: 7 if k == 9 else 1) == (ks[:-1], [9])
-        assert cli._halves([2, 3], lambda k: 1) == ([2], [3])
-
-    def test_no_second_half_at_one_cpu_or_for_one_unit(self, monkeypatch):
-        ks = list(range(2, 10))
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
-        assert cli._halves(ks, lambda k: 1) == (ks, [])
-        for cpus in (2, 4):
-            monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-            assert cli._halves([5], lambda k: 1) == ([5], [])
-            assert cli._halves(ks, lambda k: 1) == (ks[:4], ks[4:])
-
-    def test_no_fork_beside_another_thread_or_without_fork(self, two_cpus, monkeypatch):
-        ks = list(range(2, 10))
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait, args=(30,))
-        thread.start()
-        try:
-            assert cli._halves(ks, lambda k: 1) == (ks, [])
-        finally:
-            stop.set()
-            thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert cli._halves(ks, lambda k: 1) == (ks[:4], ks[4:])
-        monkeypatch.delattr(os, "fork")
-        assert cli._halves(ks, lambda k: 1) == (ks, [])
-
     @pytest.mark.parametrize(
-        "args",
+        "args, exit_code",
         [
-            ["count", "--k", "2..9", "--n-max", "60", "--output", "csv"],
-            ["count", "--k", "2..9", "--n-max", "60", "--output", "table"],
-            ["lemmas", "--id", "2.2", "--k", "2..9", "--a-max", "6"],
+            (["count", "--k", "2..9", "--n-max", "300", "--output", "csv"], 0),
+            (["count", "--k", "2..9", "--n-max", "300", "--output", "json"], 0),
+            (["count", "--k", "2..9", "--n-max", "300", "--output", "table"], 0),
+            # exit 1 is lemma 2.3's known exception at k = 2
+            (["lemmas", "--id", "2.3", "--k", "2..9", "--a-max", "6"], 1),
         ],
-        ids=["count-csv", "count-table", "lemmas"],
+        ids=["count-csv", "count-json", "count-table", "lemmas"],
     )
-    @pytest.mark.parametrize(
-        "failing_k, error",
-        [(9, ValueError), (2, ValueError), (2, KeyboardInterrupt)],
-        ids=["child-fails", "parent-fails", "parent-interrupted"],
-    )
-    def test_failure_waits_for_every_child(
-        self, runner, monkeypatch, two_cpus, args, failing_k, error
-    ):
-        # k = 9 lies in the child's half and k = 2 in the parent's
-        module, name = (
-            (cli, "pk_series") if args[0] == "count"
-            else (combinatorics, "verify_lemma")
-        )
-        real = getattr(module, name)
+    def test_no_command_forks(self, runner, monkeypatch, args, exit_code):
+        # every command runs in this process, whatever CPUs the host has
+        def no_fork():
+            raise AssertionError("forked")
 
-        def failing(*a):
-            if failing_k in a[:2]:
-                raise error(f"planted failure at k={failing_k}")
-            return real(*a)
-
-        monkeypatch.setattr(module, name, failing)
-        with deadline(60):
-            result = runner.invoke(main, args)
-        assert_no_child_left()
-        assert result.exit_code != 0
-        if error is KeyboardInterrupt:
-            assert "Aborted" in result.stderr
-        else:
-            assert "planted failure at k=" in str(result.exception)
-        if failing_k == 9:
-            assert isinstance(result.exception, RuntimeError)
-            assert "worker for k in [" in str(result.exception)
-            assert "ValueError: planted failure at k=9" in str(result.exception)
-
-    def test_parent_failure_kills_a_busy_child(self, runner, monkeypatch, two_cpus):
-        # the child would work for a minute; the parent fails at once
-        real = cli.pk_series
-
-        def slow_or_failing(k, *a):
-            if k == 9:
-                time.sleep(60)
-            if k == 2:
-                raise ValueError("planted failure at k=2")
-            return real(k, *a)
-
-        monkeypatch.setattr(cli, "pk_series", slow_or_failing)
-        started = time.monotonic()
-        with deadline(30):
-            result = runner.invoke(main, ["count", "--k", "2..9", "--n-max", "60"])
-        assert time.monotonic() - started < 20
-        assert_no_child_left()
-        assert "planted failure at k=2" in str(result.exception)
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["count", "--k", "2..9", "--n-max", "60"],
-            ["lemmas", "--id", "2.2", "--k", "2..9", "--a-max", "6"],
-        ],
-        ids=["count", "lemmas"],
-    )
-    def test_child_dying_without_a_status_byte(self, runner, monkeypatch, args):
-        # an interrupt is no Exception: the child leaves without a word
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
-        module, name = (
-            (cli, "pk_series") if args[0] == "count"
-            else (combinatorics, "verify_lemma")
-        )
-        real = getattr(module, name)
-
-        def interrupted(*a):
-            if 9 in a[:2]:
-                raise KeyboardInterrupt
-            return real(*a)
-
-        monkeypatch.setattr(module, name, interrupted)
-        with deadline(60):
-            result = runner.invoke(main, args)
-        assert_no_child_left()
-        assert isinstance(result.exception, RuntimeError)
-        assert "worker for k in [" in str(result.exception)
-        assert "no output" in str(result.exception)
-
-    def test_child_failing_while_it_writes(self, runner, monkeypatch, two_cpus):
-        # the child has built its tables and sent part of its rows
-        real = cli._count_blocks
-
-        def failing(columns, *a):
-            columns = list(columns)
-            yield from real(columns, *a)
-            if 9 in dict(columns):
-                raise ValueError("planted failure after the rows")
-
-        monkeypatch.setattr(cli, "_count_blocks", failing)
-        with deadline(60):
-            result = runner.invoke(main, ["count", "--k", "2..9", "--n-max", "60"])
-        assert_no_child_left()
-        assert isinstance(result.exception, RuntimeError)
-        assert "worker for k in [" in str(result.exception)
-        assert "exit status 1" in str(result.exception)
+        monkeypatch.setattr(os, "fork", no_fork)
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, (SystemExit, type(None))), result.exception
+        assert result.exit_code == exit_code
+        assert result.stdout
 
 
 class TestResourceCeilings:

@@ -146,6 +146,17 @@ class TestIntervalBasics:
         with pytest.raises(NumericsError, match="negative lo"):
             Interval.from_endpoints(Fraction(-1, 2**300), 1).sqrt()
 
+    def test_sqrt_refuses_a_huge_negative_lo_at_once(self):
+        # -2^(2^20): the message names the raw lower end and the precision,
+        # not the endpoints' decimal digits
+        x = -Interval.from_exact(2).pow_int(2**20)
+        start = time.perf_counter()
+        with pytest.raises(
+            NumericsError, match=r"negative lo -1\*2\^1048576 at precision 192$"
+        ):
+            x.sqrt()
+        assert time.perf_counter() - start < 0.1
+
     def test_to_string_outward(self):
         s = iv(Fraction(1, 3)).to_string(5)
         assert s.startswith("[0.33333,") and s.endswith("]")

@@ -1,9 +1,10 @@
 """Series arithmetic checks against brute-force polynomial oracles.
 
 ``pk_series`` runs on the theta identity; the eta-quotient expansion in
-``qseries_oracle`` is the independent reference it must reproduce, and two
-congruences mod 4 and mod 8 check the whole table without any series
-arithmetic.
+``qseries_oracle`` is the independent reference it must reproduce, the
+log-derivative recurrence in ``table_oracle`` checks whole tables modulo a
+prime, and two congruences mod 4 and mod 8 check the whole table without
+any series arithmetic.
 """
 
 from math import isqrt
@@ -23,6 +24,7 @@ from qseries_oracle import (
     series_mul,
     unit_series,
 )
+from table_oracle import K_RANGE, mismatches
 
 
 def poly_mul(a, b, order):
@@ -242,6 +244,24 @@ class TestOverpartitionTable:
         order = 3000
         oracle = eta_quotient_series(OVERPARTITIONS_SPEC, order)
         assert tuple(qseries.overpartitions(order)[: order + 1]) == oracle
+
+
+class TestLogDerivativeOracle:
+    # CI runs tests/table_oracle.py to the 50 000 ceiling as well
+    @pytest.mark.parametrize("k", [None, *K_RANGE], ids=["pbar", *map(str, K_RANGE)])
+    def test_tables_match_modulo_p_to_3000(self, k):
+        assert mismatches(k, 3000) == []
+
+    def test_a_planted_error_is_seen(self, monkeypatch):
+        real = qseries.pk_series
+
+        def off_by_one_at_700(k, order):
+            table = list(real(k, order))
+            table[700] += 1
+            return tuple(table)
+
+        monkeypatch.setattr(qseries, "pk_series", off_by_one_at_700)
+        assert mismatches(5, 1000) == [700]
 
 
 class TestPkAccessor:
